@@ -60,6 +60,19 @@ std::string IncrementalAnalyzer::report_json() {
 }
 
 void IncrementalAnalyzer::refresh() {
+  try {
+    extend();
+  } catch (...) {
+    // A breach mid-round can leave the scans ahead of the segments (or the
+    // segments inside a discarded DAG): drop the carried state, so the
+    // next refresh rebuilds it from the accumulated trace.
+    scans_.clear();
+    segments_.clear();
+    throw;
+  }
+}
+
+void IncrementalAnalyzer::extend() {
   CLA_CHECK(trace_.thread_count() > 0,
             "incremental analyzer has no trace yet");
   // Each refresh gets a fresh wall-clock budget from --deadline-ms (the
@@ -109,10 +122,10 @@ void IncrementalAnalyzer::refresh() {
 
   deadline.check("incremental-scan");
 
-  // Materialize the index from copies: O(records), not O(events), and the
-  // retained scans stay resumable for the next round.
-  std::vector<ThreadScanState> copies(scans_.begin(), scans_.end());
-  const TraceIndex index(view, std::move(copies), pool_.get());
+  // Materialize the index from the carried scans: O(records), not
+  // O(events). The index only reads them and closes still-open sections on
+  // its own merged records, so the scans stay resumable for the next round.
+  const TraceIndex index(view, scans_, pool_.get());
   deadline.check("incremental-index");
 
   // --- prune retained segments past the boundary, re-resolve the tail ---
@@ -167,22 +180,33 @@ void IncrementalAnalyzer::refresh() {
   deadline.check("incremental-resolve");
 
   rescanned_ = 0;
+  std::uint64_t rescanned_hops = 0;
   for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
     kept_total += segments_[tid].size();
     for (const Segment& s : segments_[tid]) {
       // Segments at or past the boundary were (re)resolved this round.
-      if (s.begin_ts >= boundary) ++rescanned_;
+      if (s.begin_ts >= boundary) {
+        ++rescanned_;
+        rescanned_hops += s.has_jump() ? 1 : 0;
+      }
     }
   }
   retained_ = kept_total - rescanned_;
 
-  // --- extend the DAG and walk it ---
-  SegmentDag dag(view, segments_, index.last_finished_thread(), pool_.get());
+  // --- extend the DAG and walk it. The segment vectors move into the DAG
+  // and back out after the walk. Retained segments begin before the
+  // boundary and their hops point back into unchanged history, so their
+  // jump_ts / jump_seg carry over: with the boundary as its watermark, the
+  // hop pass resolves the re-resolved tail's hops only.
+  SegmentDag dag(view, std::move(segments_), index.last_finished_thread(),
+                 pool_.get(), nullptr, boundary);
   dag_segments_ = dag.segment_count();
   dag_threads_ = dag.thread_count();
+  retained_hops_resolved_ = dag.resolved_hops() - rescanned_hops;
   deadline.check("incremental-builddag");
   CriticalPath path =
       compute_critical_path(dag, pool_.get(), nullptr, &walk_stats_);
+  segments_ = std::move(dag).release_segments();
   deadline.check("incremental-walk");
   result_ = compute_stats(index, std::move(path), options_.stats, pool_.get());
   dirty_ = false;

@@ -1,6 +1,7 @@
 #include "cla/analysis/index.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "cla/util/error.hpp"
 #include "cla/util/thread_pool.hpp"
@@ -217,103 +218,184 @@ TraceIndex::TraceIndex(const trace::TraceView& v, util::ThreadPool* pool)
   } else {
     for (trace::ThreadId tid = 0; tid < thread_count; ++tid) scan_one(tid);
   }
-  assemble(std::move(scans), pool);
+  assemble(scans, pool);
 }
 
 TraceIndex::TraceIndex(const trace::TraceView& v,
-                       std::vector<ThreadScanState> scans,
+                       const std::vector<ThreadScanState>& scans,
                        util::ThreadPool* pool)
     : view_(v) {
   CLA_CHECK(scans.size() == view_.thread_count(),
             "scan states do not cover the trace's threads");
-  assemble(std::move(scans), pool);
+  for (trace::ThreadId tid = 0; tid < scans.size(); ++tid) {
+    CLA_CHECK(scans[tid].next_index() <= view_.thread_events(tid).size(),
+              "scan state runs past the trace's events");
+  }
+  assemble(scans, pool);
 }
 
-void TraceIndex::assemble(std::vector<ThreadScanState> scans,
+namespace {
+
+bool by_acquired_ts(const CsRecord& a, const CsRecord& b) noexcept {
+  return a.acquired_ts < b.acquired_ts;
+}
+
+/// Stable k-way merge of runs that are each sorted by acquired_ts. Equal
+/// keys leave in run order (runs are gathered in thread-id order, so the
+/// lower thread wins), then in order within their run — exactly the order
+/// std::stable_sort gives the runs' concatenation.
+void merge_runs(const std::vector<std::span<const CsRecord>>& runs,
+                std::vector<CsRecord>& out) {
+  struct Head {
+    std::uint64_t ts;
+    std::uint32_t run;
+    std::uint32_t pos;
+  };
+  const auto later = [](const Head& a, const Head& b) {
+    return a.ts != b.ts ? a.ts > b.ts : a.run > b.run;
+  };
+  std::vector<Head> heap;
+  heap.reserve(runs.size());
+  for (std::uint32_t r = 0; r < runs.size(); ++r) {
+    heap.push_back(Head{runs[r].front().acquired_ts, r, 0});
+  }
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Head& head = heap.back();
+    const std::span<const CsRecord> run = runs[head.run];
+    out.push_back(run[head.pos]);
+    if (++head.pos < run.size()) {
+      head.ts = run[head.pos].acquired_ts;
+      std::push_heap(heap.begin(), heap.end(), later);
+    } else {
+      heap.pop_back();
+    }
+  }
+}
+
+/// Pointers to a map's values, so a parallel_for can address them by k.
+template <typename Map>
+std::vector<typename Map::mapped_type*> values_of(Map& map) {
+  std::vector<typename Map::mapped_type*> out;
+  out.reserve(map.size());
+  for (auto& [key, value] : map) {
+    (void)key;
+    out.push_back(&value);
+  }
+  return out;
+}
+
+}  // namespace
+
+void TraceIndex::assemble(const std::vector<ThreadScanState>& scans,
                           util::ThreadPool* pool) {
   const trace::TraceView& t = view_;
   const auto thread_count = static_cast<trace::ThreadId>(t.thread_count());
-  threads_.resize(thread_count);
-
-  // Close any sections missing a release (thread exited holding a lock —
-  // tolerated: treat the exit as the release point). Done on the scans
-  // owned here, so a resumable caller's copy keeps them open.
-  for (auto& scan : scans) {
-    for (auto& [object, secs] : scan.sections) {
-      (void)object;
-      for (auto& cs : secs) {
-        if (cs.released_ts == kUnreleased) {
-          cs.released_ts = scan.info.exit_ts;
-          cs.released_idx = scan.info.exit_idx;
-        }
-      }
+  const auto run = [pool](std::size_t n, const auto& fn) {
+    if (pool != nullptr) {
+      pool->parallel_for(n, fn);
+    } else {
+      for (std::size_t k = 0; k < n; ++k) fn(k);
     }
-  }
-
-  // --- merge in thread-id order (reproduces the single-scan ordering).
-  for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
-    ThreadScanState& scan = scans[tid];
-    threads_[tid] = scan.info;
-    for (const auto& [child, ref] : scan.creates) creates_[child] = ref;
-    for (auto& [object, secs] : scan.sections) {
-      auto& mi = mutexes_[object];
-      mi.id = object;
-      mi.sections.insert(mi.sections.end(), secs.begin(), secs.end());
-    }
-    for (auto& [object, waits] : scan.barrier_waits) {
-      auto& bi = barriers_[object];
-      bi.id = object;
-      for (const auto& w : waits) {
-        bi.waits.push_back(w);
-        leave_pos_[{tid, w.leave_idx}] =
-            static_cast<std::uint32_t>(bi.waits.size() - 1);
-      }
-    }
-    for (auto& [object, waits] : scan.cond_waits) {
-      auto& ci = conds_[object];
-      ci.id = object;
-      for (const auto& w : waits) {
-        ci.waits.push_back(w);
-        cond_end_pos_[{tid, w.end_idx}] =
-            static_cast<std::uint32_t>(ci.waits.size() - 1);
-      }
-    }
-    for (auto& [object, sigs] : scan.signals) {
-      auto& ci = conds_[object];
-      ci.id = object;
-      ci.signals.insert(ci.signals.end(), sigs.begin(), sigs.end());
-    }
-  }
-  scans.clear();
-
-  // --- per-primitive post-processing. Each iteration touches only its own
-  // primitive's records, so these loops fan out too; the shared position
-  // maps are filled sequentially afterwards.
-  std::vector<MutexIndex*> mutex_list;
-  mutex_list.reserve(mutexes_.size());
-  for (auto& [id, mi] : mutexes_) {
-    (void)id;
-    mutex_list.push_back(&mi);
-  }
-  const auto sort_mutex = [&](std::size_t k) {
-    auto& mi = *mutex_list[k];
-    std::stable_sort(mi.sections.begin(), mi.sections.end(),
-                     [](const CsRecord& a, const CsRecord& b) {
-                       return a.acquired_ts < b.acquired_ts;
-                     });
   };
 
-  // Group barrier waits into episodes and find each episode's last
-  // arriver. Episode numbers are renumbered densely: clipped traces keep
-  // the original generation counters, which need not start at zero.
-  std::vector<BarrierIndex*> barrier_list;
-  barrier_list.reserve(barriers_.size());
-  for (auto& [id, bi] : barriers_) {
-    (void)id;
-    barrier_list.push_back(&bi);
+  // --- thread facts and the set of primitives, in thread-id order. This
+  // is O(threads x objects); the records themselves move below.
+  threads_.resize(thread_count);
+  for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
+    const ThreadScanState& scan = scans[tid];
+    threads_[tid] = scan.info;
+    for (const auto& [child, ref] : scan.creates) creates_[child] = ref;
+    for (const auto& [object, secs] : scan.sections) {
+      (void)secs;
+      mutexes_[object].id = object;
+    }
+    for (const auto& [object, waits] : scan.barrier_waits) {
+      (void)waits;
+      barriers_[object].id = object;
+    }
+    for (const auto& [object, waits] : scan.cond_waits) {
+      (void)waits;
+      conds_[object].id = object;
+    }
+    for (const auto& [object, sigs] : scan.signals) {
+      (void)sigs;
+      conds_[object].id = object;
+    }
   }
-  const auto build_episodes = [&](std::size_t k) {
-    auto& bi = *barrier_list[k];
+
+  // --- the position column: one slot per event, npos32 until a record
+  // claims it. Slot tid is written only by iteration tid.
+  positions_.resize(thread_count);
+  run(thread_count, [&](std::size_t tid) {
+    positions_[tid].assign(
+        t.thread_events(static_cast<trace::ThreadId>(tid)).size(), npos32);
+  });
+
+  // --- per-primitive gather + post-processing. Each task reads the scans
+  // (shared, read-only) and writes only its own primitive's records and
+  // the position slots of those records' events; every event belongs to
+  // at most one record, so the slot writes are disjoint.
+  const auto claim = [this](trace::ThreadId tid, std::uint32_t idx,
+                            std::size_t pos) {
+    positions_[tid][idx] = static_cast<std::uint32_t>(pos);
+  };
+
+  const std::vector<MutexIndex*> mutex_list = values_of(mutexes_);
+  const auto build_mutex = [&](std::size_t k) {
+    MutexIndex& mi = *mutex_list[k];
+    std::vector<std::span<const CsRecord>> runs;
+    std::size_t total = 0;
+    bool sorted = true;
+    for (const ThreadScanState& scan : scans) {
+      const auto it = scan.sections.find(mi.id);
+      if (it == scan.sections.end() || it->second.empty()) continue;
+      runs.emplace_back(it->second);
+      total += it->second.size();
+      sorted = sorted && std::is_sorted(it->second.begin(), it->second.end(),
+                                        by_acquired_ts);
+    }
+    mi.sections.reserve(total);
+    if (sorted) {
+      merge_runs(runs, mi.sections);
+    } else {
+      // A thread's sections are out of timestamp order (only a trace that
+      // fails validation does this): fall back to sorting everything.
+      for (const auto& r : runs) {
+        mi.sections.insert(mi.sections.end(), r.begin(), r.end());
+      }
+      std::stable_sort(mi.sections.begin(), mi.sections.end(),
+                       by_acquired_ts);
+    }
+    for (std::size_t pos = 0; pos < mi.sections.size(); ++pos) {
+      CsRecord& cs = mi.sections[pos];
+      // A section missing its release (thread exited holding the lock —
+      // tolerated) is closed at thread exit. Done on the index's own
+      // records, so a resumable caller's scans keep it open.
+      if (cs.released_ts == kUnreleased) {
+        cs.released_ts = threads_[cs.tid].exit_ts;
+        cs.released_idx = threads_[cs.tid].exit_idx;
+      }
+      claim(cs.tid, cs.acquired_idx, pos);
+    }
+  };
+
+  // Barrier waits gather in thread-id order; waits group into episodes,
+  // each with its last arriver. Episode numbers are renumbered densely:
+  // clipped traces keep the original generation counters, which need not
+  // start at zero.
+  const std::vector<BarrierIndex*> barrier_list = values_of(barriers_);
+  const auto build_barrier = [&](std::size_t k) {
+    BarrierIndex& bi = *barrier_list[k];
+    for (const ThreadScanState& scan : scans) {
+      const auto it = scan.barrier_waits.find(bi.id);
+      if (it == scan.barrier_waits.end()) continue;
+      for (const BarrierWaitRecord& w : it->second) {
+        claim(w.tid, w.leave_idx, bi.waits.size());
+        bi.waits.push_back(w);
+      }
+    }
     std::map<std::uint32_t, std::uint32_t> dense;  // recorded -> dense index
     for (auto& w : bi.waits) {
       auto [it, inserted] =
@@ -339,15 +421,24 @@ void TraceIndex::assemble(std::vector<ThreadScanState> scans,
     }
   };
 
-  // Sort condvar signals by time for binary-search matching.
-  std::vector<CondIndex*> cond_list;
-  cond_list.reserve(conds_.size());
-  for (auto& [id, ci] : conds_) {
-    (void)id;
-    cond_list.push_back(&ci);
-  }
-  const auto sort_signals = [&](std::size_t k) {
-    auto& ci = *cond_list[k];
+  // Condvar waits gather in thread-id order; signals are sorted by time
+  // for binary-search matching.
+  const std::vector<CondIndex*> cond_list = values_of(conds_);
+  const auto build_cond = [&](std::size_t k) {
+    CondIndex& ci = *cond_list[k];
+    for (const ThreadScanState& scan : scans) {
+      if (const auto it = scan.cond_waits.find(ci.id);
+          it != scan.cond_waits.end()) {
+        for (const CondWaitRecord& w : it->second) {
+          claim(w.tid, w.end_idx, ci.waits.size());
+          ci.waits.push_back(w);
+        }
+      }
+      if (const auto it = scan.signals.find(ci.id); it != scan.signals.end()) {
+        ci.signals.insert(ci.signals.end(), it->second.begin(),
+                          it->second.end());
+      }
+    }
     std::stable_sort(ci.signals.begin(), ci.signals.end(),
                      [](const CondSignalRecord& a, const CondSignalRecord& b) {
                        return a.ts < b.ts;
@@ -356,31 +447,15 @@ void TraceIndex::assemble(std::vector<ThreadScanState> scans,
 
   const std::size_t n_mutexes = mutex_list.size();
   const std::size_t n_barriers = barrier_list.size();
-  const std::size_t n_conds = cond_list.size();
-  const auto post_process = [&](std::size_t k) {
+  run(n_mutexes + n_barriers + cond_list.size(), [&](std::size_t k) {
     if (k < n_mutexes) {
-      sort_mutex(k);
+      build_mutex(k);
     } else if (k < n_mutexes + n_barriers) {
-      build_episodes(k - n_mutexes);
+      build_barrier(k - n_mutexes);
     } else {
-      sort_signals(k - n_mutexes - n_barriers);
+      build_cond(k - n_mutexes - n_barriers);
     }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(n_mutexes + n_barriers + n_conds, post_process);
-  } else {
-    for (std::size_t k = 0; k < n_mutexes + n_barriers + n_conds; ++k) {
-      post_process(k);
-    }
-  }
-
-  for (auto& [id, mi] : mutexes_) {
-    (void)id;
-    for (std::uint32_t pos = 0; pos < mi.sections.size(); ++pos) {
-      const auto& cs = mi.sections[pos];
-      acquired_pos_[{cs.tid, cs.acquired_idx}] = pos;
-    }
-  }
+  });
 
   // Last finished thread (max exit ts, ties toward lower tid). Empty
   // placeholder threads never win: the critical-path walk starts here and
@@ -401,22 +476,28 @@ EventRef TraceIndex::create_event(trace::ThreadId child) const {
   return it == creates_.end() ? EventRef{} : it->second;
 }
 
+std::uint32_t TraceIndex::position_of(trace::ThreadId tid, std::uint32_t idx,
+                                      trace::EventType type) const {
+  if (tid >= positions_.size() || idx >= positions_[tid].size()) {
+    return npos32;
+  }
+  if (view_.thread_events(tid).type_at(idx) != type) return npos32;
+  return positions_[tid][idx];
+}
+
 std::uint32_t TraceIndex::section_of(trace::ThreadId tid,
                                      std::uint32_t acquired_idx) const {
-  auto it = acquired_pos_.find({tid, acquired_idx});
-  return it == acquired_pos_.end() ? npos32 : it->second;
+  return position_of(tid, acquired_idx, EventType::MutexAcquired);
 }
 
 std::uint32_t TraceIndex::barrier_wait_of(trace::ThreadId tid,
                                           std::uint32_t leave_idx) const {
-  auto it = leave_pos_.find({tid, leave_idx});
-  return it == leave_pos_.end() ? npos32 : it->second;
+  return position_of(tid, leave_idx, EventType::BarrierLeave);
 }
 
 std::uint32_t TraceIndex::cond_wait_of(trace::ThreadId tid,
                                        std::uint32_t end_idx) const {
-  auto it = cond_end_pos_.find({tid, end_idx});
-  return it == cond_end_pos_.end() ? npos32 : it->second;
+  return position_of(tid, end_idx, EventType::CondWaitEnd);
 }
 
 }  // namespace cla::analysis

@@ -2,7 +2,8 @@
 //
 // The critical-lock algorithm (paper Fig. 2) needs, for every blocking
 // wake-up, "the segment that released me". This index precomputes the
-// per-primitive structures that make that lookup O(log n):
+// per-primitive structures behind that lookup, plus a per-event position
+// column that finds an event's record with one load:
 //   - per-mutex critical sections in acquisition order (owner chain),
 //   - per-barrier episodes with their last arriver,
 //   - per-condvar signal lists and wait records,
@@ -124,8 +125,9 @@ struct ThreadInfo {
 /// consume() may be called repeatedly as the stream grows; it picks up at
 /// next_index(). Records whose closing event has not arrived yet stay
 /// open (a section's released_ts == kUnreleasedTs) — TraceIndex
-/// materialization closes them at thread exit on its *own copies*, so a
-/// record that closes for real in a later round is unharmed.
+/// materialization closes them at thread exit on its *own merged
+/// records*, so a record that closes for real in a later round is
+/// unharmed.
 ///
 /// Callers that only aggregate (the streaming engine) may drain closed
 /// records out of the public vectors between consume() calls: the scan
@@ -214,11 +216,12 @@ class TraceIndex {
 
   /// Materializes an index from externally progressed scans (one per
   /// thread, fully caught up with `view`). The incremental analyzer keeps
-  /// its ThreadScanStates across rounds and passes copies here, so the
-  /// O(records) materialization replaces the O(events) rescan. Still-open
-  /// sections are closed at thread exit on the copies, exactly as the
-  /// one-shot constructors do.
-  TraceIndex(const trace::TraceView& view, std::vector<ThreadScanState> scans,
+  /// its ThreadScanStates across rounds and lends them here read-only, so
+  /// the O(records) materialization replaces the O(events) rescan.
+  /// Still-open sections are closed at thread exit on the index's own
+  /// merged records, exactly as the one-shot constructors do.
+  TraceIndex(const trace::TraceView& view,
+             const std::vector<ThreadScanState>& scans,
              util::ThreadPool* pool);
 
   /// The viewed trace this index was built over (valid while the view's
@@ -241,7 +244,9 @@ class TraceIndex {
   EventRef create_event(trace::ThreadId child) const;
 
   /// For a MutexAcquired event position, the index of its CsRecord within
-  /// its mutex's `sections` (ownership order); npos32 if unknown.
+  /// its mutex's `sections` (ownership order); npos32 if unknown. This and
+  /// the two lookups below are a bounds check, a type check and one load
+  /// from the position column.
   std::uint32_t section_of(trace::ThreadId tid, std::uint32_t acquired_idx) const;
 
   /// For a BarrierLeave event position, the index of its BarrierWaitRecord
@@ -259,9 +264,13 @@ class TraceIndex {
   static constexpr std::uint32_t npos32 = ~static_cast<std::uint32_t>(0);
 
  private:
-  /// Shared tail of every constructor: apply the exit-closes, merge the
-  /// scans in thread-id order, post-process per primitive.
-  void assemble(std::vector<ThreadScanState> scans, util::ThreadPool* pool);
+  /// Shared tail of every constructor: gather the scans' records per
+  /// primitive (in thread-id order), order and close them, and fill the
+  /// position column — one parallel task per primitive.
+  void assemble(const std::vector<ThreadScanState>& scans,
+                util::ThreadPool* pool);
+  std::uint32_t position_of(trace::ThreadId tid, std::uint32_t idx,
+                            trace::EventType type) const;
 
   trace::TraceView view_;
   std::map<trace::ObjectId, MutexIndex> mutexes_;
@@ -269,10 +278,11 @@ class TraceIndex {
   std::map<trace::ObjectId, CondIndex> conds_;
   std::vector<ThreadInfo> threads_;
   std::map<trace::ThreadId, EventRef> creates_;
-  // (tid, event_idx) -> position in the owning primitive's record vector.
-  std::map<std::pair<trace::ThreadId, std::uint32_t>, std::uint32_t> acquired_pos_;
-  std::map<std::pair<trace::ThreadId, std::uint32_t>, std::uint32_t> leave_pos_;
-  std::map<std::pair<trace::ThreadId, std::uint32_t>, std::uint32_t> cond_end_pos_;
+  // positions_[tid][event_idx]: the position of the event's record in its
+  // primitive's record vector, npos32 for events that own none. The
+  // event's type says which primitive: MutexAcquired -> mutex sections,
+  // BarrierLeave -> barrier waits, CondWaitEnd -> condvar waits.
+  std::vector<std::vector<std::uint32_t>> positions_;
   trace::ThreadId last_thread_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "cla/analysis/segment_dag.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "cla/analysis/resolver.hpp"
 #include "cla/util/error.hpp"
@@ -79,38 +80,54 @@ SegmentDag SegmentDag::build(const TraceIndex& index, util::ThreadPool* pool,
     }
   }
 
-  dag.finish(pool, deadline);
+  dag.finish(pool, deadline, 0);
   return dag;
 }
 
 SegmentDag::SegmentDag(trace::TraceView view,
                        std::vector<std::vector<Segment>> threads,
                        trace::ThreadId last_thread, util::ThreadPool* pool,
-                       const util::Deadline* deadline)
+                       const util::Deadline* deadline,
+                       std::uint64_t hop_watermark)
     : view_(std::move(view)),
       threads_(std::move(threads)),
       last_thread_(last_thread) {
-  finish(pool, deadline);
+  finish(pool, deadline, hop_watermark);
 }
 
 void SegmentDag::finish(util::ThreadPool* pool,
-                        const util::Deadline* deadline) {
+                        const util::Deadline* deadline,
+                        std::uint64_t watermark) {
   offsets_.resize(threads_.size() + 1, 0);
   for (std::size_t tid = 0; tid < threads_.size(); ++tid) {
     offsets_[tid + 1] = offsets_[tid] + threads_[tid].size();
   }
   total_ = offsets_.back();
-  resolve_hops(pool, deadline);
+  resolve_hops(pool, deadline, watermark);
 }
 
 void SegmentDag::resolve_hops(util::ThreadPool* pool,
-                              const util::Deadline* deadline) {
+                              const util::Deadline* deadline,
+                              std::uint64_t watermark) {
   // Speculative hop resolution: for every segment — whether or not the
   // walk will ever enter it — find where its jump lands. The backward
   // walker continues scanning *below* the releaser (event jump_to.index-1
   // when it is not the target's first event), so the landing segment is
   // the one containing that predecessor event.
+  //
+  // A segment before the watermark keeps its hop. Its landing segment can
+  // only have changed if the landing event lies at or past the watermark
+  // on the target thread (everything before it is unchanged history), so
+  // `fresh_from[tid]` — the first event of tid at or past the watermark —
+  // decides whether a kept hop is still valid.
+  std::vector<std::uint32_t> fresh_from(threads_.size(), 0);
+  for (std::size_t tid = 0; tid < threads_.size(); ++tid) {
+    fresh_from[tid] = view_.thread_cursor(static_cast<trace::ThreadId>(tid))
+                          .seek_ts(watermark);
+  }
+  std::atomic<std::uint64_t> resolved{0};
   const auto resolve_range = [&](std::size_t begin, std::size_t end) {
+    std::uint64_t resolved_here = 0;
     // Map the global range back to (tid, local) runs.
     std::size_t tid = 0;
     while (offsets_[tid + 1] <= begin) ++tid;
@@ -129,16 +146,24 @@ void SegmentDag::resolve_hops(util::ThreadPool* pool,
       const trace::ThreadId target = s.jump_to.tid;
       CLA_ASSERT(target < threads_.size(), "hop target thread out of range");
       const std::uint32_t j = s.jump_to.index;
+      const std::uint32_t landing = j == 0 ? 0 : j - 1;
+      if (s.begin_ts < watermark && landing < fresh_from[target]) {
+        continue;  // kept hop, still valid
+      }
       s.jump_ts = view_.thread_events(target).ts_at(j);
-      s.jump_seg = segment_at(target, j == 0 ? 0 : j - 1);
+      s.jump_seg = segment_at(target, landing);
+      ++resolved_here;
     }
+    resolved += resolved_here;
   };
-  if (total_ == 0) return;
-  if (pool == nullptr) {
-    resolve_range(0, total_);
-    return;
+  if (total_ != 0) {
+    if (pool == nullptr) {
+      resolve_range(0, total_);
+    } else {
+      pool->parallel_for_chunks(total_, 4096, resolve_range);
+    }
   }
-  pool->parallel_for_chunks(total_, 4096, resolve_range);
+  resolved_hops_ = resolved.load();
 }
 
 }  // namespace cla::analysis

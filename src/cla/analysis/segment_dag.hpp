@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cla/analysis/index.hpp"
@@ -71,13 +72,27 @@ class SegmentDag {
                           const util::Deadline* deadline = nullptr);
 
   /// Assembles a DAG from externally built per-thread segment vectors
-  /// (each sorted by begin_idx, hops unresolved) — the incremental and
-  /// bounded-RSS engines construct segments themselves and only need the
-  /// hop-resolution pass. `last_thread` is the walk's start thread.
+  /// (each sorted by begin_idx) — the incremental and bounded-RSS engines
+  /// construct segments themselves and only need the hop-resolution pass.
+  /// `last_thread` is the walk's start thread.
+  ///
+  /// Segments beginning before `hop_watermark` (a timestamp) keep the
+  /// jump_ts / jump_seg they carry: the incremental engine's retained
+  /// history, resolved in an earlier round. Only a kept hop that lands at
+  /// or past the watermark on its target thread — where that thread's
+  /// segments may have changed — is resolved again. Watermark 0 resolves
+  /// every hop.
   SegmentDag(trace::TraceView view,
              std::vector<std::vector<Segment>> threads,
              trace::ThreadId last_thread, util::ThreadPool* pool,
-             const util::Deadline* deadline = nullptr);
+             const util::Deadline* deadline = nullptr,
+             std::uint64_t hop_watermark = 0);
+
+  /// Moves the per-thread segment vectors out (the DAG is left empty), so
+  /// a caller that extends them round by round never copies them.
+  std::vector<std::vector<Segment>> release_segments() && {
+    return std::move(threads_);
+  }
 
   const trace::TraceView& view() const noexcept { return view_; }
   std::size_t thread_count() const noexcept { return threads_.size(); }
@@ -88,20 +103,27 @@ class SegmentDag {
   /// Local index of the segment of `tid` containing event `idx`.
   std::uint32_t segment_at(trace::ThreadId tid, std::uint32_t idx) const;
 
+  /// Hops whose landing the hop pass resolved (all of them at watermark
+  /// 0; see the constructor).
+  std::uint64_t resolved_hops() const noexcept { return resolved_hops_; }
+
   /// Global node id (bitset index) of segment `local` of `tid`.
   std::size_t global_id(trace::ThreadId tid, std::uint32_t local) const {
     return offsets_[tid] + local;
   }
 
  private:
-  void resolve_hops(util::ThreadPool* pool, const util::Deadline* deadline);
-  void finish(util::ThreadPool* pool, const util::Deadline* deadline);
+  void resolve_hops(util::ThreadPool* pool, const util::Deadline* deadline,
+                    std::uint64_t watermark);
+  void finish(util::ThreadPool* pool, const util::Deadline* deadline,
+              std::uint64_t watermark);
 
   trace::TraceView view_;
   std::vector<std::vector<Segment>> threads_;
   std::vector<std::size_t> offsets_;  ///< prefix sums of per-thread counts
   trace::ThreadId last_thread_ = 0;
   std::size_t total_ = 0;
+  std::uint64_t resolved_hops_ = 0;
 };
 
 }  // namespace cla::analysis

@@ -6,6 +6,7 @@
 
 #include "cla/analysis/incremental.hpp"
 #include "cla/analysis/pipeline.hpp"
+#include "cla/trace/builder.hpp"
 #include "cla/util/error.hpp"
 #include "cla/workloads/workload.hpp"
 
@@ -98,6 +99,73 @@ TEST(Incremental, LaterRoundsRetainEarlierSegments) {
   // append untouched (the re-resolution boundary only reaches back to
   // records still open at the cut).
   EXPECT_GT(analyzer.retained_segments(), 0u);
+}
+
+TEST(Incremental, ThirtyTwoRoundsMatchPipelineAtOneAndFourWorkers) {
+  const trace::Trace full = workload_trace("radiosity");
+  const auto chunks = split_trace(full, 32);
+  for (const unsigned workers : {1u, 4u}) {
+    Options options;
+    options.validate = false;
+    options.execution.num_threads = workers;
+    IncrementalAnalyzer analyzer(options);
+    std::uint64_t retained_total = 0;
+    for (const auto& chunk : chunks) {
+      analyzer.append(chunk);
+      (void)analyzer.result();
+      retained_total += analyzer.retained_segments();
+      // Retained segments keep their resolved hops: a refresh resolves
+      // hops for the re-resolved tail only.
+      EXPECT_EQ(analyzer.retained_hops_resolved(), 0u) << workers;
+    }
+    EXPECT_GT(retained_total, 0u) << workers;
+
+    Options batch;
+    batch.execution.num_threads = workers;
+    Pipeline pipeline(batch);
+    pipeline.use_trace(full);
+    EXPECT_EQ(analyzer.report_json(), pipeline.report_json()) << workers;
+  }
+}
+
+TEST(Incremental, KeptHopLandingPastTheBoundaryIsResolvedAgain) {
+  // Releases are recorded after the real unlock, so a releaser can carry
+  // a later timestamp than its waiter's wake-up. Thread 1 wakes on M at 80
+  // with releaser thread 0's release at 100, landing on thread 0's event
+  // at 90. Thread 2's section on N, which precedes thread 0's contended
+  // acquisition of N at 85, only arrives in round 2 (boundary 82): thread
+  // 0 gains a segment at 85, so thread 1's retained hop at 80 must land
+  // in a different segment than it did in round 1.
+  constexpr trace::ObjectId kM = 1;
+  constexpr trace::ObjectId kN = 2;
+  trace::TraceBuilder b;
+  b.thread(0).start(0).acquire(kM, 1).acquired(kM, 1, false)
+      .acquire(kN, 2).acquired(kN, 85, true).released(kN, 90)
+      .released(kM, 100).exit(200);
+  b.thread(1).start(0, trace::kNoThread).acquire(kM, 5)
+      .acquired(kM, 80, true).released(kM, 120).exit(300);
+  b.thread(2).start(82, trace::kNoThread).acquire(kN, 82)
+      .acquired(kN, 83, false).released(kN, 86).exit(87);
+  const trace::Trace full = b.finish_unchecked();
+
+  std::vector<trace::Trace> rounds(2);
+  for (trace::ThreadId tid = 0; tid < full.thread_count(); ++tid) {
+    rounds[tid == 2 ? 1 : 0].append_thread_events(tid,
+                                                  full.thread_events(tid));
+  }
+  Options options;
+  options.validate = false;
+  IncrementalAnalyzer analyzer(options);
+  analyzer.append(rounds[0]);
+  (void)analyzer.result();
+  analyzer.append(rounds[1]);
+  (void)analyzer.result();
+  EXPECT_GT(analyzer.retained_segments(), 0u);
+  EXPECT_EQ(analyzer.retained_hops_resolved(), 1u);
+
+  Pipeline pipeline(options);
+  pipeline.use_trace(full);
+  EXPECT_EQ(analyzer.report_json(), pipeline.report_json());
 }
 
 TEST(Incremental, SingleRoundMatchesPipeline) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 
@@ -11,6 +13,14 @@
 
 namespace cla::rt {
 namespace {
+
+/// A short burst of real work the optimizer cannot drop.
+void spin(int iterations) {
+  std::atomic<int> sink{0};
+  for (int k = 0; k < iterations; ++k) {
+    sink.fetch_add(k, std::memory_order_relaxed);
+  }
+}
 
 class HooksTest : public ::testing::Test {
  protected:
@@ -39,13 +49,34 @@ TEST_F(HooksTest, ContendedLockSetsContendedFlag) {
   Recorder& recorder = Recorder::instance();
   recorder.ensure_current_thread();
   InstrumentedMutex mutex("m");
-  run_instrumented_threads(2, [&](std::uint32_t) {
+  // Handshake first: on a loaded machine one thread can run its whole
+  // loop before the other is scheduled, and nothing ever contends. Thread
+  // 0 holds the lock until thread 1 has announced its attempt, then a
+  // while longer, so thread 1's acquisition finds the lock taken.
+  std::atomic<bool> held{false};
+  std::atomic<bool> trying{false};
+  run_instrumented_threads(2, [&](std::uint32_t me) {
+    if (me == 0) {
+      mutex.lock();
+      held.store(true, std::memory_order_release);
+      while (!trying.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      mutex.unlock();
+    } else {
+      while (!held.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      trying.store(true, std::memory_order_release);
+      mutex.lock();
+      mutex.unlock();
+    }
     for (int i = 0; i < 200; ++i) {
       mutex.lock();
       // Real work plus a yield inside the critical section, so the peer
       // reliably observes EBUSY even on a single-CPU machine.
-      volatile int sink = 0;
-      for (int k = 0; k < 500; ++k) sink += k;
+      spin(500);
       std::this_thread::yield();
       mutex.unlock();
     }
@@ -89,15 +120,21 @@ TEST_F(HooksTest, CondVarProtocolAnalyzable) {
   recorder.ensure_current_thread();
   InstrumentedMutex mutex("m");
   InstrumentedCond cond("cv");
-  bool ready = false;
+  bool ready = false;  // guarded by mutex
+  std::atomic<bool> about_to_wait{false};
   run_instrumented_threads(2, [&](std::uint32_t me) {
     if (me == 0) {
       mutex.lock();
+      // Published under the mutex: the signaler cannot take the mutex
+      // until cond.wait() releases it, so the waiter is already waiting
+      // when `ready` flips and at least one wait is recorded.
+      about_to_wait.store(true, std::memory_order_release);
       while (!ready) cond.wait(mutex);
       mutex.unlock();
     } else {
-      // Give the waiter a chance to sleep first.
-      for (volatile int k = 0; k < 200000; ++k) {}
+      while (!about_to_wait.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       mutex.lock();
       ready = true;
       mutex.unlock();
@@ -117,10 +154,7 @@ TEST_F(HooksTest, CondVarProtocolAnalyzable) {
 TEST_F(HooksTest, CoordinatorRecordsCreateAndJoinEdges) {
   Recorder& recorder = Recorder::instance();
   recorder.ensure_current_thread();
-  run_instrumented_threads(3, [&](std::uint32_t) {
-    volatile int sink = 0;
-    for (int k = 0; k < 1000; ++k) sink += k;
-  });
+  run_instrumented_threads(3, [&](std::uint32_t) { spin(1000); });
   recorder.thread_exit();
   const trace::Trace t = recorder.collect();
   EXPECT_EQ(t.thread_count(), 4u);

@@ -6,9 +6,7 @@
 // stack-free recording.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,13 +16,10 @@
 #include "cla/trace/salvage.hpp"
 #include "cla/trace/trace_io.hpp"
 #include "cla/trace/trace_view.hpp"
+#include "support/temp_dir.hpp"
 
 namespace cla::trace {
 namespace {
-
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 std::string file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -61,8 +56,9 @@ void expect_tables_equal(const Trace& expected, const TraceView& view) {
 class CallStackRoundTrip : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(CallStackRoundTrip, FileWriterAndReader) {
+  const test_support::TempDir dir;
   const Trace trace = callsite_trace();
-  const std::string path = temp_path("cla_call_stack_rt.clat");
+  const std::string path = dir.file("cla_call_stack_rt.clat");
   write_trace_file(trace, path, GetParam());
 
   const Trace loaded = read_trace_file(path);
@@ -75,13 +71,13 @@ TEST_P(CallStackRoundTrip, FileWriterAndReader) {
     MappedTrace mapped(path);
     expect_tables_equal(trace, mapped.view());
   }
-  std::remove(path.c_str());
 }
 
 TEST_P(CallStackRoundTrip, SurvivesConversionAcrossVersions) {
+  const test_support::TempDir dir;
   const Trace trace = callsite_trace();
-  const std::string src = temp_path("cla_call_stack_conv_src.clat");
-  const std::string dst = temp_path("cla_call_stack_conv_dst.clat");
+  const std::string src = dir.file("cla_call_stack_conv_src.clat");
+  const std::string dst = dir.file("cla_call_stack_conv_dst.clat");
   write_trace_file(trace, src, GetParam());
   const std::uint32_t other =
       GetParam() == kTraceVersionV3 ? kTraceVersion : kTraceVersionV3;
@@ -89,27 +85,26 @@ TEST_P(CallStackRoundTrip, SurvivesConversionAcrossVersions) {
   const Trace converted = read_trace_file(dst);
   EXPECT_EQ(converted.call_stacks(), trace.call_stacks());
   EXPECT_EQ(converted.frame_symbols(), trace.frame_symbols());
-  std::remove(src.c_str());
-  std::remove(dst.c_str());
 }
 
 TEST_P(CallStackRoundTrip, SalvageKeepsStackTables) {
+  const test_support::TempDir dir;
   const Trace trace = callsite_trace();
-  const std::string path = temp_path("cla_call_stack_salvage.clat");
+  const std::string path = dir.file("cla_call_stack_salvage.clat");
   write_trace_file(trace, path, GetParam());
   const SalvageResult salvaged = salvage_trace_file(path);
   EXPECT_EQ(salvaged.trace.call_stacks(), trace.call_stacks());
   EXPECT_EQ(salvaged.trace.frame_symbols(), trace.frame_symbols());
-  std::remove(path.c_str());
 }
 
 TEST_P(CallStackRoundTrip, StackFreeTraceWritesNoStackChunks) {
   // A trace without call stacks must produce the exact bytes it always
   // did: chunk kinds 7/8 appear only when the tables are non-empty.
+  const test_support::TempDir dir;
   TraceBuilder b;
   b.thread(0).start(0).lock_uncontended(1, 10, 20).exit(30);
   const Trace plain = b.finish();
-  const std::string path = temp_path("cla_call_stack_free.clat");
+  const std::string path = dir.file("cla_call_stack_free.clat");
   write_trace_file(plain, path, GetParam());
   const std::string bytes = file_bytes(path);
   // "CLCH" fourcc followed by u32 kind: scan every chunk header.
@@ -121,7 +116,6 @@ TEST_P(CallStackRoundTrip, StackFreeTraceWritesNoStackChunks) {
     EXPECT_NE(kind, static_cast<std::uint32_t>(ChunkKind::CallStacks));
     EXPECT_NE(kind, static_cast<std::uint32_t>(ChunkKind::FrameSymbols));
   }
-  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Formats, CallStackRoundTrip,
@@ -131,7 +125,8 @@ INSTANTIATE_TEST_SUITE_P(Formats, CallStackRoundTrip,
                          });
 
 TEST(CallStackStreaming, ChunkedWriterStreamsStackAndSymbolChunks) {
-  const std::string path = temp_path("cla_call_stack_stream.clat");
+  const test_support::TempDir dir;
+  const std::string path = dir.file("cla_call_stack_stream.clat");
   {
     ChunkedTraceWriter writer(path, kTraceVersionV3);
     const std::uint64_t pcs[2] = {0xabc, 0xdef};
@@ -153,11 +148,11 @@ TEST(CallStackStreaming, ChunkedWriterStreamsStackAndSymbolChunks) {
             (std::vector<std::uint64_t>{0xabc, 0xdef}));
   ASSERT_EQ(reader.frame_symbols().size(), 1u);
   EXPECT_EQ(reader.frame_symbols().at(0xabc), "f (m)");
-  std::remove(path.c_str());
 }
 
 TEST(CallStackStreaming, WriterClampsDepthToFormatMaximum) {
-  const std::string path = temp_path("cla_call_stack_deep.clat");
+  const test_support::TempDir dir;
+  const std::string path = dir.file("cla_call_stack_deep.clat");
   {
     ChunkedTraceWriter writer(path, kTraceVersion);
     std::vector<std::uint64_t> pcs(kMaxCallStackDepth + 5, 0x10);
@@ -172,11 +167,11 @@ TEST(CallStackStreaming, WriterClampsDepthToFormatMaximum) {
   const Trace loaded = read_trace_file(path);
   ASSERT_EQ(loaded.call_stacks().size(), 1u);
   EXPECT_EQ(loaded.call_stacks().at(1).size(), kMaxCallStackDepth);
-  std::remove(path.c_str());
 }
 
 TEST(CallStackStreaming, LastWriteWinsOnDuplicateIds) {
-  const std::string path = temp_path("cla_call_stack_dup.clat");
+  const test_support::TempDir dir;
+  const std::string path = dir.file("cla_call_stack_dup.clat");
   {
     ChunkedTraceWriter writer(path, kTraceVersion);
     const std::uint64_t first[1] = {0x1};
@@ -195,7 +190,6 @@ TEST(CallStackStreaming, LastWriteWinsOnDuplicateIds) {
   const Trace loaded = read_trace_file(path);
   EXPECT_EQ(loaded.call_stacks().at(7), (std::vector<std::uint64_t>{0x2}));
   EXPECT_EQ(loaded.frame_symbols().at(0x1), "new");
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,6 +16,7 @@
 #include "cla/trace/trace.hpp"
 #include "cla/trace/trace_io.hpp"
 #include "cla/util/crc32.hpp"
+#include "support/temp_dir.hpp"
 #include "cla/util/error.hpp"
 
 namespace cla::trace {
@@ -59,10 +59,6 @@ void expect_view_equals_trace(const TraceView& view, const Trace& trace) {
   EXPECT_EQ(view.dropped_events(), trace.dropped_events());
 }
 
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
 TEST(TraceView, BorrowedViewMatchesTrace) {
   const Trace trace = sample_trace();
   const TraceView view(trace);
@@ -91,24 +87,25 @@ TEST(TraceView, MaterializeRoundTrips) {
 }
 
 TEST(TraceView, MappedLoadMatchesCopyingReaderAcrossVersions) {
+  const test_support::TempDir dir;
   if (!mmap_supported()) GTEST_SKIP() << "no mmap on this platform";
   const Trace original = sample_trace();
   for (std::uint32_t version : {1u, 2u, 3u}) {
-    const std::string path = temp_path("cla_view_versions.clat");
+    const std::string path = dir.file("cla_view_versions.clat");
     write_trace_file(original, path, version);
     MappedTrace mapped(path);
     EXPECT_EQ(mapped.version(), version);
     EXPECT_EQ(mapped.file_bytes(), std::filesystem::file_size(path));
     expect_view_equals_trace(mapped.view(), original);
-    std::remove(path.c_str());
   }
 }
 
 TEST(TraceView, MappedLoadCompactsMultiChunkThreads) {
+  const test_support::TempDir dir;
   if (!mmap_supported()) GTEST_SKIP() << "no mmap on this platform";
   const Trace original = sample_trace();
   for (std::uint32_t version : {2u, 3u}) {
-    const std::string path = temp_path("cla_view_multichunk.clat");
+    const std::string path = dir.file("cla_view_multichunk.clat");
     {
       ChunkedTraceWriter writer(path, version);
       for (ThreadId tid = 0; tid < original.thread_count(); ++tid) {
@@ -127,18 +124,18 @@ TEST(TraceView, MappedLoadCompactsMultiChunkThreads) {
     }
     MappedTrace mapped(path);
     expect_view_equals_trace(mapped.view(), original);
-    std::remove(path.c_str());
   }
 }
 
 TEST(TraceView, MappedLoadHandlesMixedChunkKinds) {
+  const test_support::TempDir dir;
   // A v3 recording may interleave raw v2 Events chunks (the writer's
   // async-signal fallback); readers dispatch on chunk kind. Craft such a
   // file by hand: thread 0's events split across one raw and one v3
   // chunk.
   if (!mmap_supported()) GTEST_SKIP() << "no mmap on this platform";
   const Trace original = sample_trace();
-  const std::string path = temp_path("cla_view_mixed.clat");
+  const std::string path = dir.file("cla_view_mixed.clat");
   std::ofstream out(path, std::ios::binary);
   out.write(kTraceMagic, 4);
   const std::uint32_t version = kTraceVersionV3;
@@ -194,12 +191,12 @@ TEST(TraceView, MappedLoadHandlesMixedChunkKinds) {
   // The copying stream reader must agree on the same mixed file.
   const Trace streamed = read_trace_file(path);
   expect_view_equals_trace(mapped.view(), streamed);
-  std::remove(path.c_str());
 }
 
 TEST(TraceView, MappedLoadIsStrict) {
+  const test_support::TempDir dir;
   if (!mmap_supported()) GTEST_SKIP() << "no mmap on this platform";
-  const std::string path = temp_path("cla_view_strict.clat");
+  const std::string path = dir.file("cla_view_strict.clat");
   const Trace original = sample_trace();
 
   {  // bad magic
@@ -236,10 +233,10 @@ TEST(TraceView, MappedLoadIsStrict) {
   EXPECT_THROW(MappedTrace{path}, util::Error);
 
   EXPECT_THROW(MappedTrace{"/nonexistent/dir/trace.clat"}, util::Error);
-  std::remove(path.c_str());
 }
 
 TEST(TraceView, MappedTruncationFuzzNeverCrashes) {
+  const test_support::TempDir dir;
   // Every prefix of a valid v3 file must either load (only if it happens
   // to end on a clean boundary — impossible without the Meta tail) or
   // throw util::Error; never crash or over-read.
@@ -247,7 +244,7 @@ TEST(TraceView, MappedTruncationFuzzNeverCrashes) {
   std::stringstream buffer;
   write_trace(sample_trace(), buffer, kTraceVersionV3);
   const std::string bytes = buffer.str();
-  const std::string path = temp_path("cla_view_fuzz.clat");
+  const std::string path = dir.file("cla_view_fuzz.clat");
   for (std::size_t len = 0; len < bytes.size(); len += 3) {
     {
       std::ofstream out(path, std::ios::binary);
@@ -255,7 +252,6 @@ TEST(TraceView, MappedTruncationFuzzNeverCrashes) {
     }
     EXPECT_THROW(MappedTrace{path}, util::Error) << "prefix " << len;
   }
-  std::remove(path.c_str());
 }
 
 TEST(ChunkCursor, NextClaimsBoundedRangesUntilDone) {
