@@ -14,11 +14,12 @@
 // per-thread bounded buffers spill to $CLA_TRACE_FILE (default
 // cla_trace.clat) as checksummed `.clat` chunks while the app runs, so
 // the trace survives the process. $CLA_TRACE_FORMAT picks the chunk
-// encoding (v2 raw, v3 compact varint); $CLA_BUFFER_EVENTS bounds each
-// buffer half (default 16384 events). Fatal signals (SIGSEGV, SIGABRT, SIGBUS,
-// SIGTERM) and _exit/_Exit trigger an async-signal-safe best-effort spill
-// of the still-buffered tail before the process dies; a torn final chunk
-// is dropped by `cla-analyze --salvage`'s CRC check.
+// encoding (v3 compact varint, the default; v2 raw 32-byte events);
+// $CLA_BUFFER_EVENTS bounds each buffer half (default 16384 events).
+// Fatal signals (SIGSEGV, SIGABRT, SIGBUS, SIGTERM) and _exit/_Exit
+// trigger an async-signal-safe best-effort spill of the still-buffered
+// tail before the process dies; a torn final chunk is dropped by
+// `cla-analyze --salvage`'s CRC check.
 //
 // Re-entrancy: the recorder itself may take a std::mutex during thread
 // registration, which would recurse into these hooks; a thread-local
@@ -332,19 +333,19 @@ const char* trace_path() {
   return path != nullptr ? path : "cla_trace.clat";
 }
 
-// $CLA_TRACE_FORMAT selects the streamed `.clat` version: v2 (raw chunks,
-// default) or v3 (compact varint chunks). v1 has no chunk framing and
+// $CLA_TRACE_FORMAT selects the streamed `.clat` version: v3 (compact
+// varint chunks, default) or v2 (raw chunks). v1 has no chunk framing and
 // cannot be streamed.
 std::uint32_t trace_format_from_env() {
   const char* raw = std::getenv("CLA_TRACE_FORMAT");
-  if (raw == nullptr || *raw == '\0') return cla::trace::kTraceVersion;
-  std::uint32_t version = cla::trace::kTraceVersion;
+  if (raw == nullptr || *raw == '\0') return cla::trace::kTraceVersionV3;
+  std::uint32_t version = cla::trace::kTraceVersionV3;
   if (!cla::trace::parse_trace_format(raw, version) ||
       version == cla::trace::kTraceVersionLegacy) {
     std::fprintf(stderr,
                  "cla_interpose: ignoring CLA_TRACE_FORMAT=%s (want v2|v3)\n",
                  raw);
-    return cla::trace::kTraceVersion;
+    return cla::trace::kTraceVersionV3;
   }
   return version;
 }

@@ -61,6 +61,11 @@ extern "C" void cla_thread_exit_destructor(void*) {
   }
 }
 
+// StreamBuffer::exit_state values.
+constexpr std::uint32_t kExitNone = 0;
+constexpr std::uint32_t kExitParked = 1;
+constexpr std::uint32_t kExitTaken = 2;
+
 // Set while the current thread runs recorder-internal machinery; the
 // interposer's HookGuard disarms on it (see current_thread_internal()).
 thread_local bool tls_internal_thread = false;
@@ -119,8 +124,9 @@ struct Recorder::ThreadBuffer {
 /// Streaming-mode double buffer. The owning thread appends to the active
 /// half and flips when it fills; the flusher (or the crash handler)
 /// drains published halves. All cross-thread hand-off is via the atomics,
-/// so the crash handler can read any half without locks.
-struct Recorder::StreamBuffer {
+/// so the crash handler can read any half without locks. Cache-line
+/// aligned so no two threads' owner-written fields share a line.
+struct alignas(64) Recorder::StreamBuffer {
   trace::ThreadId tid = 0;
   std::uint32_t capacity = 0;
   std::unique_ptr<trace::Event[]> half[2];
@@ -130,6 +136,16 @@ struct Recorder::StreamBuffer {
   std::atomic<std::uint64_t> publish_seq[2] = {0, 0};  // flush ordering
   std::atomic<std::uint64_t> last_ts{0};               // for exit synthesis
   std::atomic<bool> saw_exit{false};
+  // Events dropped because both halves were full. Only the owner writes
+  // it (load + store, no read-modify-write); dropped_events() sums it.
+  std::atomic<std::uint64_t> dropped{0};
+  // A ThreadExit that finds both halves full is parked here instead of
+  // dropped; the flusher, finish_streaming or crash_spill writes it right
+  // after the halves published before it (exit_after_seq), and whoever
+  // moves exit_state from kExitParked to kExitTaken owns that write.
+  std::atomic<std::uint32_t> exit_state{kExitNone};
+  trace::Event parked_exit{};
+  std::uint64_t exit_after_seq = 0;  // set before exit_state is released
 
   // Owner-thread-only state.
   std::uint32_t active = 0;
@@ -306,28 +322,47 @@ void Recorder::stream_append(StreamBuffer& buffer, const trace::Event& event) {
     buffer.clamp_ts = e.ts;
   }
   std::uint32_t half = buffer.active;
-  std::uint32_t c = buffer.count[half].load(std::memory_order_relaxed);
+  // Acquire: a count the flusher reset to 0 also says its reads of the
+  // half are done, so this thread may overwrite it.
+  std::uint32_t c = buffer.count[half].load(std::memory_order_acquire);
   if (c == buffer.capacity) {
-    // Publish the full half for the flusher and flip to the other one.
-    if (!buffer.full[half].load(std::memory_order_relaxed)) {
-      buffer.publish_seq[half].store(buffer.next_seq++,
-                                     std::memory_order_relaxed);
-      buffer.full[half].store(true, std::memory_order_release);
+    // The active half filled (and was published then): move to the other
+    // half once the flusher has handed it back. It clears `full` before
+    // it resets `count`, so a count that still reads full means "not yet".
+    const std::uint32_t other = half ^ 1;
+    if (!buffer.full[other].load(std::memory_order_acquire)) {
+      c = buffer.count[other].load(std::memory_order_acquire);
     }
-    buffer.active ^= 1;
-    half = buffer.active;
-    if (buffer.full[half].load(std::memory_order_acquire)) {
-      // Flusher starved: both halves full. Drop instead of blocking.
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+    if (c == buffer.capacity) {
+      // Flusher starved: both halves full. Drop instead of blocking — but
+      // park the thread's one ThreadExit, so it is written exactly once.
+      if (e.type == trace::EventType::ThreadExit &&
+          buffer.exit_state.load(std::memory_order_relaxed) == kExitNone) {
+        buffer.parked_exit = e;
+        buffer.exit_after_seq = buffer.next_seq - 1;
+        buffer.last_ts.store(e.ts, std::memory_order_relaxed);
+        buffer.saw_exit.store(true, std::memory_order_relaxed);
+        buffer.exit_state.store(kExitParked, std::memory_order_release);
+        return;
+      }
+      buffer.dropped.store(buffer.dropped.load(std::memory_order_relaxed) + 1,
+                           std::memory_order_relaxed);
       return;
     }
-    c = buffer.count[half].load(std::memory_order_relaxed);
+    buffer.active = half = other;
   }
   buffer.half[half][c] = e;
   buffer.count[half].store(c + 1, std::memory_order_release);
   buffer.last_ts.store(e.ts, std::memory_order_relaxed);
   if (e.type == trace::EventType::ThreadExit) {
     buffer.saw_exit.store(true, std::memory_order_relaxed);
+  }
+  if (c + 1 == buffer.capacity) {
+    // Publish the half for the flusher the moment it fills, so a full
+    // count always means "published" and a half is never published twice.
+    buffer.publish_seq[half].store(buffer.next_seq++,
+                                   std::memory_order_relaxed);
+    buffer.full[half].store(true, std::memory_order_release);
   }
 }
 
@@ -391,6 +426,18 @@ std::size_t Recorder::event_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t total = 0;
   for (const auto& buffer : buffers_) total += buffer->events.size();
+  return total;
+}
+
+std::uint64_t Recorder::dropped_events() const noexcept {
+  std::uint64_t total = dropped_.load(std::memory_order_relaxed);
+  const std::uint32_t n = stream_count_.load(std::memory_order_acquire);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (const StreamBuffer* buffer =
+            stream_registry_[i].load(std::memory_order_acquire)) {
+      total += buffer->dropped.load(std::memory_order_relaxed);
+    }
+  }
   return total;
 }
 
@@ -606,23 +653,9 @@ void Recorder::flusher_main() {
       std::lock_guard<std::mutex> gate(flush_gate_);
       const std::uint32_t n = stream_count_.load(std::memory_order_acquire);
       for (std::uint32_t i = 0; i < n; ++i) {
-        StreamBuffer* buffer =
-            stream_registry_[i].load(std::memory_order_acquire);
-        if (buffer == nullptr) continue;
-        const bool full0 = buffer->full[0].load(std::memory_order_acquire);
-        const bool full1 = buffer->full[1].load(std::memory_order_acquire);
-        if (full0 && full1) {
-          // Keep per-thread chunk order: lower publish sequence first.
-          const std::uint64_t s0 =
-              buffer->publish_seq[0].load(std::memory_order_relaxed);
-          const std::uint64_t s1 =
-              buffer->publish_seq[1].load(std::memory_order_relaxed);
-          flush_half(*buffer, s0 < s1 ? 0 : 1);
-          flush_half(*buffer, s0 < s1 ? 1 : 0);
-        } else if (full0) {
-          flush_half(*buffer, 0);
-        } else if (full1) {
-          flush_half(*buffer, 1);
+        if (StreamBuffer* buffer =
+                stream_registry_[i].load(std::memory_order_acquire)) {
+          drain_published(*buffer);
         }
       }
       // Refresh the in-place Meta/RuntimeWarnings chunks every ~50ms so
@@ -632,12 +665,78 @@ void Recorder::flusher_main() {
       if (++sweeps % 256 == 0 &&
           !shutdown_.load(std::memory_order_acquire)) {
         write_stream_warnings();
-        sink_->write_meta(dropped_.load(std::memory_order_relaxed) +
-                              sink_->ring_retired_events(),
+        sink_->write_meta(dropped_events() + sink_->ring_retired_events(),
                           /*clean_close=*/false);
       }
     }
     nanosleep(&pause, nullptr);
+  }
+}
+
+// Fills `order` with the order every drain path writes a buffer's halves
+// in: published (full) halves by publish sequence — they hold the older
+// events — then the unpublished active half. Returns how many halves
+// were published when it looked; they are the first ones in `order`.
+unsigned Recorder::drain_order(const StreamBuffer& buffer, unsigned order[2]) {
+  const bool full0 = buffer.full[0].load(std::memory_order_acquire);
+  const bool full1 = buffer.full[1].load(std::memory_order_acquire);
+  const bool first1 =
+      full1 && (!full0 ||
+                buffer.publish_seq[1].load(std::memory_order_relaxed) <
+                    buffer.publish_seq[0].load(std::memory_order_relaxed));
+  order[0] = first1 ? 1 : 0;
+  order[1] = first1 ? 0 : 1;
+  return static_cast<unsigned>(full0) + static_cast<unsigned>(full1);
+}
+
+// True if a published `half` went out no later than the buffer's parked
+// ThreadExit, i.e. its events precede the exit on disk. Only valid once
+// exit_state has been seen parked (exit_after_seq is set by then).
+bool Recorder::published_before_exit(const StreamBuffer& buffer,
+                                     unsigned half) {
+  return buffer.publish_seq[half].load(std::memory_order_relaxed) <=
+         buffer.exit_after_seq;
+}
+
+bool Recorder::take_parked_exit(StreamBuffer& buffer) noexcept {
+  std::uint32_t expected = kExitParked;
+  return buffer.exit_state.compare_exchange_strong(
+      expected, kExitTaken, std::memory_order_acq_rel);
+}
+
+void Recorder::write_counted(trace::ThreadId tid, const trace::Event* events,
+                             std::uint32_t count) {
+  const std::size_t wrote = sink_->write_events(tid, events, count);
+  if (wrote < count) {
+    // The sink ran out of retry budget (disk full past the backoff
+    // window): the unwritten tail is gone — count it, both in the meta
+    // drop counter and in the IO-specific warning.
+    dropped_.fetch_add(count - wrote, std::memory_order_relaxed);
+    io_dropped_.fetch_add(count - wrote, std::memory_order_relaxed);
+  }
+}
+
+void Recorder::write_parked_exit(StreamBuffer& buffer) {
+  if (take_parked_exit(buffer)) {
+    write_counted(buffer.tid, &buffer.parked_exit, 1);
+  }
+}
+
+void Recorder::drain_published(StreamBuffer& buffer) {
+  bool exit_due = buffer.exit_state.load(std::memory_order_acquire) ==
+                  kExitParked;
+  unsigned order[2];
+  const unsigned published = drain_order(buffer, order);
+  for (unsigned k = 0; k < published; ++k) {
+    if (exit_due && !published_before_exit(buffer, order[k])) {
+      if (shutdown_.load(std::memory_order_seq_cst)) return;
+      write_parked_exit(buffer);
+      exit_due = false;
+    }
+    flush_half(buffer, order[k]);
+  }
+  if (exit_due && !shutdown_.load(std::memory_order_seq_cst)) {
+    write_parked_exit(buffer);
   }
 }
 
@@ -648,19 +747,49 @@ void Recorder::flush_half(StreamBuffer& buffer, unsigned half) {
     // handler never writes a half we may already have started.
     return;
   }
-  const std::uint32_t c = buffer.count[half].load(std::memory_order_acquire);
-  const std::size_t wrote =
-      sink_->write_events(buffer.tid, buffer.half[half].get(), c);
-  if (wrote < c) {
-    // The sink ran out of retry budget (disk full past the backoff
-    // window): the unwritten tail is gone — count it, both in the meta
-    // drop counter and in the IO-specific warning.
-    dropped_.fetch_add(c - wrote, std::memory_order_relaxed);
-    io_dropped_.fetch_add(c - wrote, std::memory_order_relaxed);
-  }
-  buffer.count[half].store(0, std::memory_order_release);
+  write_counted(buffer.tid, buffer.half[half].get(),
+                buffer.count[half].load(std::memory_order_acquire));
+  // Hand the half back: `full` first, then `count` — the owner reuses a
+  // half only once both read free (see stream_append).
   buffer.full[half].store(false, std::memory_order_release);
+  buffer.count[half].store(0, std::memory_order_release);
   buffer.in_flight[half].store(false, std::memory_order_release);
+}
+
+void Recorder::spill_buffer(StreamBuffer& buffer, bool crash) {
+  bool exit_due = buffer.exit_state.load(std::memory_order_acquire) ==
+                  kExitParked;
+  // Crash path only: a half published before the parked exit that the
+  // flusher is still writing. Writing the exit now could put it ahead of
+  // that half's events, so it is counted as dropped instead.
+  bool exit_blocked = false;
+  const auto place_exit = [&] {
+    if (!exit_blocked) {
+      write_parked_exit(buffer);
+    } else if (take_parked_exit(buffer)) {
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+    }
+    exit_due = false;
+  };
+  unsigned order[2];
+  const unsigned published = drain_order(buffer, order);
+  for (unsigned k = 0; k < 2; ++k) {
+    const unsigned half = order[k];
+    const bool before_exit =
+        exit_due && k < published && published_before_exit(buffer, half);
+    if (exit_due && !before_exit) place_exit();
+    if (crash && buffer.in_flight[half].load(std::memory_order_seq_cst)) {
+      exit_blocked = exit_blocked || before_exit;
+      continue;  // the flusher may already be writing this half
+    }
+    write_counted(buffer.tid, buffer.half[half].get(),
+                  buffer.count[half].load(std::memory_order_acquire));
+    if (!crash) {
+      buffer.count[half].store(0, std::memory_order_relaxed);
+      buffer.full[half].store(false, std::memory_order_relaxed);
+    }
+  }
+  if (exit_due) place_exit();
 }
 
 void Recorder::finish_streaming() {
@@ -675,41 +804,12 @@ void Recorder::finish_streaming() {
   for (std::uint32_t i = 0; i < n; ++i) {
     StreamBuffer* buffer = stream_registry_[i].load(std::memory_order_acquire);
     if (buffer == nullptr) continue;
-    // Published halves first (they hold the older events), then the
-    // partial active half.
-    const std::uint64_t s0 = buffer->publish_seq[0].load(std::memory_order_relaxed);
-    const std::uint64_t s1 = buffer->publish_seq[1].load(std::memory_order_relaxed);
-    const bool full0 = buffer->full[0].load(std::memory_order_acquire);
-    const bool full1 = buffer->full[1].load(std::memory_order_acquire);
-    unsigned order[2] = {0, 1};
-    if (full0 && full1) {
-      order[0] = s0 < s1 ? 0 : 1;
-      order[1] = s0 < s1 ? 1 : 0;
-    } else if (full1) {
-      order[0] = 1;
-      order[1] = 0;
-    }
-    for (unsigned half : order) {
-      const std::uint32_t c = buffer->count[half].load(std::memory_order_acquire);
-      if (c > 0) {
-        const std::size_t wrote =
-            sink_->write_events(buffer->tid, buffer->half[half].get(), c);
-        if (wrote < c) {
-          dropped_.fetch_add(c - wrote, std::memory_order_relaxed);
-          io_dropped_.fetch_add(c - wrote, std::memory_order_relaxed);
-        }
-      }
-      buffer->count[half].store(0, std::memory_order_relaxed);
-      buffer->full[half].store(false, std::memory_order_relaxed);
-    }
+    spill_buffer(*buffer, /*crash=*/false);
     if (!buffer->saw_exit.load(std::memory_order_relaxed)) {
       const trace::Event exit_event{
           buffer->last_ts.load(std::memory_order_relaxed), trace::kNoObject,
           trace::kNoArg, trace::EventType::ThreadExit, 0, buffer->tid};
-      if (sink_->write_events(buffer->tid, &exit_event, 1) < 1) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        io_dropped_.fetch_add(1, std::memory_order_relaxed);
-      }
+      write_counted(buffer->tid, &exit_event, 1);
     }
   }
   // Lazy frame symbolization: resolve each distinct recorded PC exactly
@@ -729,8 +829,7 @@ void Recorder::finish_streaming() {
     }
   }
   write_stream_warnings();
-  sink_->write_meta(dropped_.load(std::memory_order_relaxed) +
-                        sink_->ring_retired_events(),
+  sink_->write_meta(dropped_events() + sink_->ring_retired_events(),
                     /*clean_close=*/true);
   sink_->close();
 }
@@ -772,40 +871,13 @@ void Recorder::crash_spill() {
 
   const std::uint32_t n = stream_count_.load(std::memory_order_acquire);
   for (std::uint32_t i = 0; i < n; ++i) {
-    StreamBuffer* buffer = stream_registry_[i].load(std::memory_order_acquire);
-    if (buffer == nullptr) continue;
-    // Published-full halves carry the older events; write them (in
-    // publish order) before the partial active half.
-    const std::uint64_t s0 = buffer->publish_seq[0].load(std::memory_order_relaxed);
-    const std::uint64_t s1 = buffer->publish_seq[1].load(std::memory_order_relaxed);
-    const bool full0 = buffer->full[0].load(std::memory_order_acquire);
-    const bool full1 = buffer->full[1].load(std::memory_order_acquire);
-    unsigned order[2] = {0, 1};
-    if (full0 && full1) {
-      order[0] = s0 < s1 ? 0 : 1;
-      order[1] = s0 < s1 ? 1 : 0;
-    } else if (full1) {
-      order[0] = 1;
-      order[1] = 0;
-    }
-    for (unsigned half : order) {
-      if (buffer->in_flight[half].load(std::memory_order_seq_cst)) {
-        continue;  // the flusher may already be writing this half
-      }
-      const std::uint32_t c = buffer->count[half].load(std::memory_order_acquire);
-      if (c > 0) {
-        const std::size_t wrote =
-            sink_->write_events(buffer->tid, buffer->half[half].get(), c);
-        if (wrote < c) {
-          dropped_.fetch_add(c - wrote, std::memory_order_relaxed);
-          io_dropped_.fetch_add(c - wrote, std::memory_order_relaxed);
-        }
-      }
+    if (StreamBuffer* buffer =
+            stream_registry_[i].load(std::memory_order_acquire)) {
+      spill_buffer(*buffer, /*crash=*/true);
     }
   }
   write_stream_warnings();
-  sink_->write_meta(dropped_.load(std::memory_order_relaxed) +
-                        sink_->ring_retired_events(),
+  sink_->write_meta(dropped_events() + sink_->ring_retired_events(),
                     /*clean_close=*/false);
   // No close(): a concurrent flusher writev must not hit a recycled fd.
   // The kernel flushes and closes on process death either way.

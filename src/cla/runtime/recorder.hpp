@@ -13,13 +13,18 @@
 //  * Streaming mode (start_streaming): each thread owns a pair of bounded
 //    event buffers. When the active half fills, the thread publishes it
 //    and flips to the other half; a dedicated flusher thread drains
-//    published halves to a ChunkedTraceWriter (`.clat` v2 chunks), so app
+//    published halves to a ChunkedTraceWriter (compact `.clat` v3
+//    EventsV3 chunks by default, raw v2 chunks on request), so app
 //    threads never block on IO. If both halves are full (flusher starved)
-//    the event is dropped and counted instead of blocking or growing.
-//    crash_spill() writes every published-and-partial buffer with only
-//    async-signal-safe operations, so a fatal-signal handler can save the
-//    run's tail; finish_streaming() is the clean-exit path (synthesizes
-//    missing ThreadExit events and a clean-close Meta chunk).
+//    the event is dropped and counted in the thread's own buffer instead
+//    of blocking or growing — except the thread's ThreadExit, which is
+//    parked in the buffer and written by the next drain, so each thread
+//    records it exactly once. crash_spill() writes every
+//    published-and-partial buffer with only async-signal-safe operations
+//    (a v3 spill that races the flusher's encoder writes a raw v2 chunk),
+//    so a fatal-signal handler can save the run's tail;
+//    finish_streaming() is the clean-exit path (synthesizes missing
+//    ThreadExit events and a clean-close Meta chunk).
 //
 // Recording never aborts the host application: if a thread cannot be
 // bound (registration races teardown) or a buffer has no room, the event
@@ -136,10 +141,10 @@ class Recorder {
   std::uint64_t register_call_stack(const std::uint64_t* pcs,
                                     std::size_t depth);
 
-  /// Events dropped at record time since the last reset/collect.
-  std::uint64_t dropped_events() const noexcept {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  /// Events dropped at record time since the last reset/collect: the
+  /// shared slow-path count plus every stream buffer's own count.
+  /// Async-signal-safe (atomic loads only).
+  std::uint64_t dropped_events() const noexcept;
 
   /// Number of events currently buffered (all threads, unflushed).
   std::size_t event_count() const;
@@ -158,8 +163,9 @@ class Recorder {
 
   // ---- streaming (crash-resilient) mode ----
 
-  /// Switches to streaming mode: opens `path` as a chunked trace (v2 raw
-  /// chunks or compact v3 per `version`) and starts the flusher thread.
+  /// Switches to streaming mode: opens `path` as a chunked trace (compact
+  /// v3 by default, or v2 raw chunks per `version`) and starts the
+  /// flusher thread.
   /// `buffer_events` bounds each half of every thread's double buffer
   /// (clamped to [64, 1<<22]). A non-zero `ring_bytes` caps the trace's
   /// on-disk size: the writer retires the oldest complete chunks as
@@ -168,7 +174,7 @@ class Recorder {
   /// streamed; throws cla::util::Error if the file cannot be opened or
   /// `version` is not a chunked format.
   void start_streaming(const std::string& path, std::size_t buffer_events,
-                       std::uint32_t version = trace::kTraceVersion,
+                       std::uint32_t version = trace::kTraceVersionV3,
                        std::uint64_t ring_bytes = 0);
 
   bool streaming() const noexcept {
@@ -205,7 +211,19 @@ class Recorder {
   StreamBuffer* current_stream_buffer();
   void stream_append(StreamBuffer& buffer, const trace::Event& event);
   void flusher_main();
+  static unsigned drain_order(const StreamBuffer& buffer, unsigned order[2]);
+  static bool published_before_exit(const StreamBuffer& buffer,
+                                    unsigned half);
+  static bool take_parked_exit(StreamBuffer& buffer) noexcept;
+  // Appends events through the sink; what it could not land is counted
+  // as an IO drop.
+  void write_counted(trace::ThreadId tid, const trace::Event* events,
+                     std::uint32_t count);
+  void write_parked_exit(StreamBuffer& buffer);
+  void drain_published(StreamBuffer& buffer);  // flusher sweep
   void flush_half(StreamBuffer& buffer, unsigned half);
+  // finish_streaming (crash = false) and crash_spill (crash = true).
+  void spill_buffer(StreamBuffer& buffer, bool crash);
   void write_stream_warnings();
 
   // pthread_atfork trampolines (dispatch to the streaming recorder).
@@ -227,18 +245,24 @@ class Recorder {
   // Call-stack intern table: pc chain -> id (ids start at 1, streamed as
   // CallStacks chunks; replayed to the child's sink after fork).
   std::map<std::vector<std::uint64_t>, std::uint64_t> call_stack_ids_;
-  std::atomic<std::uint64_t> epoch_{0};  // invalidates thread-local caches
-  std::atomic<std::uint64_t> dropped_{0};
+
+  // What every record_at reads, alone on a cache line that nothing on
+  // the record path writes.
+  alignas(64) std::atomic<std::uint64_t> epoch_{0};  // invalidates TLS caches
+  std::atomic<bool> streaming_{false};
+  std::atomic<bool> shutdown_{false};
+
+  // Drops outside a stream buffer's own count: after shutdown, on a
+  // thread with no buffer, failed writes, and the legacy mode.
+  alignas(64) std::atomic<std::uint64_t> dropped_{0};
 
   // Streaming state. The registry is a fixed array of atomic slots so the
   // crash handler can walk it without taking mutex_.
   static constexpr std::size_t kMaxStreamThreads = 4096;
-  std::atomic<bool> streaming_{false};
-  std::atomic<bool> shutdown_{false};
   std::atomic<bool> flusher_stop_{false};
   std::size_t stream_capacity_ = 0;
   std::string stream_path_;
-  std::uint32_t stream_version_ = trace::kTraceVersion;
+  std::uint32_t stream_version_ = trace::kTraceVersionV3;
   std::uint64_t stream_ring_bytes_ = 0;
   std::atomic<std::uint64_t> io_dropped_{0};   // events lost to failed writes
   std::atomic<std::uint64_t> warn_partial_interpose_{0};

@@ -40,6 +40,7 @@ struct BufReader {
 
   bool try_get_bytes(void* dst, std::size_t n) {
     if (remaining() < n) return false;
+    if (n == 0) return true;  // dst may be an empty vector's null data()
     std::memcpy(dst, data + pos, n);
     pos += n;
     return true;
@@ -129,7 +130,7 @@ void salvage_v2(BufReader& in, Trace& trace, SalvageReport& report) {
     }
 
     const std::size_t chunk_start = in.pos;
-    std::uint32_t kind, payload_bytes, crc;
+    std::uint32_t kind = 0, payload_bytes = 0, crc = 0;
     in.pos += 4;  // magic
     in.try_get(kind);
     in.try_get(payload_bytes);

@@ -280,31 +280,49 @@ bool decode_events_v3_strided(const void* payload, std::size_t bytes,
 
 // ---- EventsV3 chunk codec ------------------------------------------------
 
+namespace {
+
+// Encodes an EventsV3 payload at `out`, which has room for
+// events_v3_max_payload(count) bytes; returns the bytes written.
+std::size_t encode_events_v3_into(ThreadId tid, const Event* events,
+                                  std::size_t count, char* out) noexcept {
+  char* p = out;
+  const auto n = static_cast<std::uint32_t>(count);
+  std::memcpy(p, &tid, 4);
+  std::memcpy(p + 4, &n, 4);
+  p += 8;
+  std::uint64_t prev = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    p = put_varint(p, zigzag_encode(
+                          static_cast<std::int64_t>(events[i].ts - prev)));
+    prev = events[i].ts;
+  }
+  prev = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    p = put_varint(p, zigzag_encode(
+                          static_cast<std::int64_t>(events[i].object - prev)));
+    prev = events[i].object;
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    p = put_varint(p, events[i].arg + 1);  // kNoArg wraps to 0
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    p = put_varint(p, static_cast<std::uint64_t>(events[i].type));
+  }
+  return static_cast<std::size_t>(p - out);
+}
+
+}  // namespace
+
 void encode_events_v3(ThreadId tid, const Event* events, std::size_t count,
                       std::string& payload) {
   if (count == 0) return;
   CLA_CHECK(count <= std::numeric_limits<std::uint32_t>::max(),
             "events chunk too large for v3 encoding");
-  append_raw(payload, tid);
-  append_raw(payload, static_cast<std::uint32_t>(count));
-  std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    put_varint(payload,
-               zigzag_encode(static_cast<std::int64_t>(events[i].ts - prev)));
-    prev = events[i].ts;
-  }
-  prev = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    put_varint(payload, zigzag_encode(
-                            static_cast<std::int64_t>(events[i].object - prev)));
-    prev = events[i].object;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    put_varint(payload, events[i].arg + 1);  // kNoArg wraps to 0
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    put_varint(payload, static_cast<std::uint64_t>(events[i].type));
-  }
+  const std::size_t base = payload.size();
+  payload.resize(base + events_v3_max_payload(count));
+  payload.resize(base + encode_events_v3_into(tid, events, count,
+                                              payload.data() + base));
 }
 
 bool peek_events_v3(const void* payload, std::size_t bytes, ThreadId& tid,
@@ -391,7 +409,7 @@ ChunkedTraceWriter::ChunkedTraceWriter(const std::string& path,
   if (version_ == kTraceVersionV3) {
     // All allocation happens here, up front: write_events must stay
     // allocation-free to remain async-signal-safe.
-    v3_scratch_.reserve(events_v3_max_payload(kEventsPerChunk));
+    v3_scratch_.reset(new char[events_v3_max_payload(kEventsPerChunk)]);
   }
   // Ring mode reads surviving chunks back during compaction, so the fd
   // must be readable too; a plain writer stays write-only.
@@ -616,10 +634,10 @@ std::size_t ChunkedTraceWriter::write_events(ThreadId tid, const Event* events,
     bool ok;
     if (version_ == kTraceVersionV3 &&
         !v3_scratch_busy_.test_and_set(std::memory_order_acquire)) {
-      v3_scratch_.clear();
-      encode_events_v3(tid, events + begin, n, v3_scratch_);
-      ok = write_chunk(ChunkKind::EventsV3, v3_scratch_.data(),
-                       v3_scratch_.size(), nullptr, 0, n);
+      const std::size_t bytes =
+          encode_events_v3_into(tid, events + begin, n, v3_scratch_.get());
+      ok = write_chunk(ChunkKind::EventsV3, v3_scratch_.get(), bytes, nullptr,
+                       0, n);
       v3_scratch_busy_.clear(std::memory_order_release);
     } else {
       ok = write_events_raw(tid, events + begin, n);

@@ -6,9 +6,9 @@
 //   u32 thread_name_count | { u32 tid, u32 len, bytes }...
 //   per thread: u32 tid | u64 event_count | event_count * 32-byte Event
 //
-// v2 layout (the current write format) is crash-resilient: after the
-// 8-byte preamble (magic + u32 version=2) the file is a pure append-only
-// sequence of individually checksummed chunks:
+// v2 layout (the chunk framing every current writer uses) is
+// crash-resilient: after the 8-byte preamble (magic + u32 version=2) the
+// file is a pure append-only sequence of individually checksummed chunks:
 //
 //   chunk: "CLCH" | u32 kind | u32 payload_bytes | u32 crc32(payload) | payload
 //
@@ -73,6 +73,7 @@
 #include <atomic>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -358,10 +359,11 @@ class ChunkedTraceWriter {
   // acquire: a signal handler that cannot get it drops the chunk instead
   // of deadlocking (teardown mode skips it entirely).
   std::atomic_flag append_busy_ = ATOMIC_FLAG_INIT;
-  // v3 encode scratch: capacity reserved up front so appends inside the
-  // reserved range never allocate (async-signal-safety), guarded by a
-  // try-lock so a handler never blocks on the flusher.
-  std::string v3_scratch_;
+  // v3 encode scratch, allocated at open with room for the largest chunk
+  // (events_v3_max_payload) so encoding never allocates
+  // (async-signal-safety); guarded by a try-lock so a handler never
+  // blocks on the flusher.
+  std::unique_ptr<char[]> v3_scratch_;
   std::atomic_flag v3_scratch_busy_ = ATOMIC_FLAG_INIT;
 };
 

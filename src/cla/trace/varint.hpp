@@ -2,16 +2,16 @@
 // encoding.
 //
 // v3 stores per-thread event streams as delta-encoded, varint-compressed
-// field groups (see trace_io.hpp). Encoders append to a std::string;
-// decoders are strictly bounds-checked cursors that report truncation and
-// overlong input by returning false instead of reading out of range, so
-// the same routines back both the strict reader (which turns a failure
-// into a corruption error) and salvage (which drops the chunk).
+// field groups (see trace_io.hpp). The encoder writes into a
+// caller-sized buffer; decoders are strictly bounds-checked cursors that
+// report truncation and overlong input by returning false instead of
+// reading out of range, so the same routines back both the strict reader
+// (which turns a failure into a corruption error) and salvage (which
+// drops the chunk).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace cla::trace {
 
@@ -28,14 +28,17 @@ constexpr std::int64_t zigzag_decode(std::uint64_t value) noexcept {
 /// Longest possible encoding of a u64 (10 * 7 bits >= 64 bits).
 inline constexpr std::size_t kMaxVarintBytes = 10;
 
-/// Appends `value` to `out` as a base-128 varint (7 bits per byte, high
-/// bit = continuation).
-inline void put_varint(std::string& out, std::uint64_t value) {
+/// Writes `value` at `out` as a base-128 varint (7 bits per byte, high
+/// bit = continuation; room for kMaxVarintBytes) and returns the byte
+/// past it. Allocation-free, so the streaming writer can encode on its
+/// async-signal-safe path.
+inline char* put_varint(char* out, std::uint64_t value) noexcept {
   while (value >= 0x80) {
-    out.push_back(static_cast<char>((value & 0x7f) | 0x80));
+    *out++ = static_cast<char>((value & 0x7f) | 0x80);
     value >>= 7;
   }
-  out.push_back(static_cast<char>(value));
+  *out++ = static_cast<char>(value);
+  return out;
 }
 
 /// Bounds-checked varint cursor over `[data, data + size)`.

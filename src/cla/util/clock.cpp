@@ -1,5 +1,7 @@
 #include "cla/util/clock.hpp"
 
+#include <atomic>
+#include <cmath>
 #include <ctime>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -36,6 +38,24 @@ double calibrate_ticks_per_ns() noexcept {
 }
 #endif
 
+// ticks_to_ns is (ticks * mult) >> kNsShift in 128-bit arithmetic, with
+// mult = 2^kNsShift / ticks_per_ns: a multiply and a shift on the record
+// path instead of a double divide. 0 until the first conversion derives
+// it from the calibration; racing first callers store the same value.
+constexpr int kNsShift = 32;
+std::atomic<std::uint64_t> g_ns_mult{0};
+
+std::uint64_t ns_mult() noexcept {
+  std::uint64_t mult = g_ns_mult.load(std::memory_order_relaxed);
+  if (mult == 0) [[unlikely]] {
+    mult = static_cast<std::uint64_t>(
+        std::llround(std::ldexp(1.0 / ticks_per_ns(), kNsShift)));
+    if (mult == 0) mult = 1;
+    g_ns_mult.store(mult, std::memory_order_relaxed);
+  }
+  return mult;
+}
+
 }  // namespace
 
 std::uint64_t ticks() noexcept {
@@ -55,10 +75,11 @@ double ticks_per_ns() noexcept {
 #endif
 }
 
-void calibrate_clock() noexcept { (void)ticks_per_ns(); }
+void calibrate_clock() noexcept { (void)ns_mult(); }
 
 std::uint64_t ticks_to_ns(std::uint64_t t) noexcept {
-  return static_cast<std::uint64_t>(static_cast<double>(t) / ticks_per_ns());
+  return static_cast<std::uint64_t>(
+      (static_cast<unsigned __int128>(t) * ns_mult()) >> kNsShift);
 }
 
 std::uint64_t now_ns() noexcept {

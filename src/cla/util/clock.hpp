@@ -29,7 +29,8 @@ double ticks_per_ns() noexcept;
 /// inside whichever critical section first asks for a timestamp.
 void calibrate_clock() noexcept;
 
-/// Converts raw ticks to nanoseconds using the calibrated factor.
+/// Converts raw ticks to nanoseconds using the calibrated factor, as a
+/// 128-bit multiply and shift (no floating-point divide on the hot path).
 std::uint64_t ticks_to_ns(std::uint64_t t) noexcept;
 
 /// Busy-spins for approximately `ns` nanoseconds (used by the pthread

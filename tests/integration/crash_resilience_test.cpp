@@ -33,10 +33,13 @@ class CrashResilienceTest : public ::testing::Test {
   }
   void TearDown() override { std::remove(trace_path_.c_str()); }
 
+  // Pinned to v2: this suite covers the raw-chunk stream and its salvage;
+  // the default v3 stream's crash paths are covered by the
+  // FaultInjectionEndToEnd matrix and the RecorderStreaming tests.
   int run_app(const std::string& mode, int crash_round) const {
     const std::string command =
         "CLA_TRACE_FILE=" + trace_path_ +
-        " CLA_BUFFER_EVENTS=256"
+        " CLA_TRACE_FORMAT=v2 CLA_BUFFER_EVENTS=256"
         " LD_PRELOAD=" CLA_INTERPOSE_LIB " " CLA_CRASH_APP " " + mode + " " +
         std::to_string(crash_round) + " > /dev/null 2>&1";
     return std::system(command.c_str());

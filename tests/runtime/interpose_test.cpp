@@ -2,14 +2,19 @@
 // pthread binary runs under LD_PRELOAD=libcla_interpose.so, the flushed
 // .clat trace is loaded and analyzed.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 
 #include "support/analyze.hpp"
+#include "support/temp_dir.hpp"
 #include "cla/trace/trace_io.hpp"
 
 namespace {
@@ -35,6 +40,32 @@ class InterposeTest : public ::testing::Test {
 
   std::string trace_path_;
 };
+
+// Chunk kind -> count over a chunked `.clat` file (preamble skipped).
+std::map<std::uint32_t, int> chunk_kinds(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::map<std::uint32_t, int> kinds;
+  std::size_t at = 8;
+  while (at + 16 <= bytes.size() &&
+         std::memcmp(bytes.data() + at, cla::trace::kChunkMagic, 4) == 0) {
+    std::uint32_t kind = 0;
+    std::uint32_t payload_bytes = 0;
+    std::memcpy(&kind, bytes.data() + at + 4, 4);
+    std::memcpy(&payload_bytes, bytes.data() + at + 8, 4);
+    ++kinds[kind];
+    at += 16 + payload_bytes;
+  }
+  EXPECT_EQ(at, bytes.size()) << "trailing bytes after the last chunk";
+  return kinds;
+}
+
+int count_of(const std::map<std::uint32_t, int>& kinds,
+             cla::trace::ChunkKind kind) {
+  const auto it = kinds.find(static_cast<std::uint32_t>(kind));
+  return it == kinds.end() ? 0 : it->second;
+}
 
 TEST_F(InterposeTest, PreloadedAppWritesAnalyzableTrace) {
   ASSERT_EQ(run_demo(), 0);
@@ -104,16 +135,63 @@ TEST_F(InterposeTest, FailedLockCallsRecordNoEvents) {
 }
 
 TEST_F(InterposeTest, StreamsCompactV3WhenRequested) {
-  // CLA_TRACE_FORMAT=v3 switches the streamed chunk encoding; the trace
-  // must load and analyze identically to a v2 recording.
-  ASSERT_EQ(run_demo("", "CLA_TRACE_FORMAT=v3"), 0);
-  const cla::trace::Trace trace = cla::trace::read_trace_file(trace_path_);
+  // CLA_TRACE_FORMAT pins the streamed chunk encoding: v2 writes only raw
+  // Events chunks, v3 only EventsV3 chunks. Both recordings of the demo
+  // app must load and analyze to the same structure.
+  std::map<std::string, int> app_locks;
+  std::map<std::string, std::uint32_t> threads;
+  for (const std::string format : {"v2", "v3"}) {
+    SCOPED_TRACE(format);
+    ASSERT_EQ(run_demo("", "CLA_TRACE_FORMAT=" + format), 0);
+    const std::map<std::uint32_t, int> kinds = chunk_kinds(trace_path_);
+    const int raw = count_of(kinds, cla::trace::ChunkKind::Events);
+    const int compact = count_of(kinds, cla::trace::ChunkKind::EventsV3);
+    if (format == "v2") {
+      EXPECT_GT(raw, 0);
+      EXPECT_EQ(compact, 0);
+    } else {
+      EXPECT_EQ(raw, 0);
+      EXPECT_GT(compact, 0);
+    }
+    const cla::trace::Trace trace = cla::trace::read_trace_file(trace_path_);
+    EXPECT_GE(trace.thread_count(), 5u);
+    EXPECT_GT(trace.event_count(), 100u);
+    EXPECT_NO_THROW(trace.validate());
+    threads[format] = trace.thread_count();
+    const auto result = cla::test_support::analyze(trace);
+    EXPECT_GT(result.completion_time, 0u);
+    EXPECT_GE(result.locks.size(), 2u);
+    for (const auto& lock : result.locks) {
+      if (lock.invocations == 80u) ++app_locks[format];
+    }
+  }
+  EXPECT_EQ(app_locks["v2"], 2);
+  EXPECT_EQ(app_locks["v3"], 2);
+  EXPECT_EQ(threads["v2"], threads["v3"]);
+}
+
+TEST_F(InterposeTest, DefaultStreamIsCompactV3) {
+  // No CLA_* variable at all: the interposer writes ./cla_trace.clat in
+  // its working directory, as compact EventsV3 chunks.
+  cla::test_support::TempDir dir;
+  std::string unset;
+  for (char** var = environ; *var != nullptr; ++var) {
+    const std::string entry(*var);
+    if (entry.rfind("CLA_", 0) == 0) {
+      unset += " -u " + entry.substr(0, entry.find('='));
+    }
+  }
+  const std::string command = "cd " + dir.path().string() + " && env" +
+                              unset + " LD_PRELOAD=" CLA_INTERPOSE_LIB
+                              " " CLA_DEMO_APP " > /dev/null 2>&1";
+  ASSERT_EQ(std::system(command.c_str()), 0);
+  const std::string path = dir.file("cla_trace.clat");
+  const std::map<std::uint32_t, int> kinds = chunk_kinds(path);
+  EXPECT_GT(count_of(kinds, cla::trace::ChunkKind::EventsV3), 0);
+  EXPECT_EQ(count_of(kinds, cla::trace::ChunkKind::Events), 0);
+  const cla::trace::Trace trace = cla::trace::read_trace_file(path);
   EXPECT_GE(trace.thread_count(), 5u);
-  EXPECT_GT(trace.event_count(), 100u);
   EXPECT_NO_THROW(trace.validate());
-  const auto result = cla::test_support::analyze(trace);
-  EXPECT_GT(result.completion_time, 0u);
-  EXPECT_GE(result.locks.size(), 2u);
 }
 
 TEST_F(InterposeTest, StackDepthCapturesSymbolizedCallsites) {

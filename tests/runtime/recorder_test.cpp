@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <thread>
+#include <vector>
 
 #include "cla/trace/salvage.hpp"
 #include "cla/trace/trace_io.hpp"
 #include "cla/util/error.hpp"
+#include "cla/util/faultinject.hpp"
+#include "support/temp_dir.hpp"
 
 namespace cla::rt {
 namespace {
@@ -250,6 +254,130 @@ TEST(RecorderStreaming, ImplicitThreadDeathRecordsRealThreadExit) {
   EXPECT_EQ(events.back().type, trace::EventType::ThreadExit);
   EXPECT_GT(events.back().ts, events[1].ts);
   std::remove(path.c_str());
+}
+
+// Arms CLA_FAULT_FLUSHER_STALL_MS for one test and disarms it after.
+class StalledFlusher {
+ public:
+  explicit StalledFlusher(const char* ms) {
+    ::setenv("CLA_FAULT_FLUSHER_STALL_MS", ms, 1);
+    util::fault::reinit_for_tests();
+  }
+  ~StalledFlusher() {
+    ::unsetenv("CLA_FAULT_FLUSHER_STALL_MS");
+    util::fault::reinit_for_tests();
+  }
+  StalledFlusher(const StalledFlusher&) = delete;
+  StalledFlusher& operator=(const StalledFlusher&) = delete;
+};
+
+std::size_t count_exits(std::span<const trace::Event> events) {
+  std::size_t exits = 0;
+  for (const trace::Event& e : events) {
+    if (e.type == trace::EventType::ThreadExit) ++exits;
+  }
+  return exits;
+}
+
+TEST(RecorderStreaming, StalledFlusherRecordsEachThreadExitExactlyOnce) {
+  // Each worker overruns its 2x64-event double buffer while the flusher
+  // sleeps, so its ThreadExit finds both halves full. That exit is parked
+  // and written later — never dropped, never written twice — so recorded
+  // plus dropped is exactly the number of events issued.
+  cla::test_support::TempDir dir;
+  const std::string path = dir.file("stalled.clat");
+  constexpr int kWorkers = 4;
+  constexpr int kEventsPerWorker = 2000;
+  std::uint64_t dropped = 0;
+  {
+    StalledFlusher stall("20");
+    Recorder recorder;
+    recorder.start_streaming(path, /*buffer_events=*/64);
+    const auto parent = recorder.ensure_current_thread();
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kWorkers; ++w) {
+      const auto tid = recorder.allocate_thread();
+      recorder.record(trace::EventType::ThreadCreate,
+                      static_cast<trace::ObjectId>(tid));
+      workers.emplace_back([&recorder, tid, parent] {
+        recorder.bind_current_thread(tid, parent);
+        // CondSignal has no pairing invariant, so drops keep the trace
+        // validate()-clean.
+        for (int i = 0; i < kEventsPerWorker; ++i) {
+          recorder.record(trace::EventType::CondSignal, 9, i);
+        }
+        recorder.thread_exit();
+      });
+    }
+    for (auto& worker : workers) worker.join();
+    recorder.thread_exit();
+    recorder.finish_streaming();
+    dropped = recorder.dropped_events();
+  }
+  const trace::Trace t = cla::trace::read_trace_file(path);
+  EXPECT_NO_THROW(t.validate());
+  EXPECT_GT(dropped, 0u) << "the stall did not starve the buffers";
+  EXPECT_EQ(t.dropped_events(), dropped);
+  // main: start + creates + exit; workers: start + events + exit.
+  const std::uint64_t issued =
+      (2u + kWorkers) + kWorkers * (kEventsPerWorker + 2u);
+  EXPECT_EQ(t.event_count() + dropped, issued);
+  ASSERT_EQ(t.thread_count(), 1u + kWorkers);
+  for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
+    const auto events = t.thread_events(tid);
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(count_exits(events), 1u) << "thread " << tid;
+    EXPECT_EQ(events.back().type, trace::EventType::ThreadExit)
+        << "thread " << tid;
+    // The surviving events keep their recording order across chunks.
+    std::uint64_t prev_arg = 0;
+    bool first = true;
+    for (const trace::Event& e : events) {
+      if (e.type != trace::EventType::CondSignal) continue;
+      EXPECT_TRUE(first || e.arg > prev_arg) << "thread " << tid;
+      prev_arg = e.arg;
+      first = false;
+    }
+  }
+}
+
+TEST(RecorderStreaming, CrashSpillWritesParkedThreadExit) {
+  // A worker's ThreadExit is parked behind two full halves while the
+  // flusher sleeps; a crash spill must land it after those halves.
+  cla::test_support::TempDir dir;
+  const std::string path = dir.file("parked_crash.clat");
+  {
+    StalledFlusher stall("200");
+    Recorder recorder;
+    recorder.start_streaming(path, /*buffer_events=*/64);
+    const auto parent = recorder.ensure_current_thread();
+    const auto tid = recorder.allocate_thread();
+    recorder.record(trace::EventType::ThreadCreate,
+                    static_cast<trace::ObjectId>(tid));
+    std::thread([&recorder, tid, parent] {
+      recorder.bind_current_thread(tid, parent);
+      for (int i = 0; i < 1000; ++i) {
+        recorder.record(trace::EventType::CondSignal, 9, i);
+      }
+      recorder.thread_exit();
+    }).join();
+    EXPECT_GT(recorder.dropped_events(), 0u);
+    recorder.crash_spill();
+  }
+  cla::trace::SalvageResult got = cla::trace::salvage_trace_file(path);
+  EXPECT_FALSE(got.report.clean_close);
+  // Repair adds only the main thread's exit; the worker's is its own.
+  EXPECT_EQ(got.report.synthesized_events, 1u);
+  // main: start + create; worker: start + 1000 events + exit.
+  EXPECT_EQ(got.report.events_recovered + got.report.runtime_dropped_events,
+            2u + 1002u);
+  ASSERT_EQ(got.trace.thread_count(), 2u);
+  const auto events = got.trace.thread_events(1);
+  EXPECT_EQ(count_exits(events), 1u);
+  EXPECT_EQ(events.back().type, trace::EventType::ThreadExit);
+  // The 128 events that fit in both halves (ThreadStart included), then
+  // the parked exit.
+  EXPECT_EQ(events.size(), 129u);
 }
 
 TEST(RecorderStreaming, CrashSpillLeavesSalvageableFile) {

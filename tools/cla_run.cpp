@@ -59,7 +59,8 @@ void print_usage(const char* prog, std::FILE* out = stdout) {
       "  --csv             print TYPE1/TYPE2 tables as CSV\n"
       "  --trace-out FILE  also write the trace to FILE (.clat)\n"
       "  --format F        .clat version for --trace-out: v1 | v2 | v3\n"
-      "                    (default v2; v3 is the compact varint format)\n"
+      "                    (default v3, the compact varint format; v2 keeps\n"
+      "                    raw 32-byte events)\n"
       "  --analysis-threads N  worker threads for the analysis pipeline's\n"
       "                    index/stats stages (default 1, 0 = per core)\n"
       "  --profile         print the analysis per-stage timing to stderr\n"
@@ -386,7 +387,7 @@ int main(int argc, char** argv) {
                 << cla::analysis::render_timeline(index, result.path);
     }
     if (auto path = args.get("trace-out")) {
-      std::uint32_t version = cla::trace::kTraceVersion;
+      std::uint32_t version = cla::trace::kTraceVersionV3;
       if (auto format = args.get("format")) {
         if (!cla::trace::parse_trace_format(*format, version)) {
           throw cla::util::ArgsError("invalid --format value '" + *format +
