@@ -4,11 +4,12 @@
 //
 // For each workload the same in-memory trace is analyzed through:
 //
-//   sequential   legacy resolver + backward walk, 1 analysis thread
 //   dag-1        segment-DAG build + DAG walk, 1 analysis thread
 //   dag-8        segment-DAG build + DAG walk, 8 analysis threads
 //   incremental  IncrementalAnalyzer fed the trace in 8 appends
 //   streaming    bounded-RSS engine (--max-rss equivalent) end-to-end
+//
+// plus the dag-8 over dag-1 speedup.
 //
 // Reported per variant: best-of-N wall time, events/s, and peak RSS
 // delta (Linux VmHWM, reset per variant via /proc/self/clear_refs; 0 when
@@ -65,12 +66,11 @@ struct WorkloadResultRow {
   std::string workload;
   std::uint64_t events = 0;
   std::vector<VariantResult> variants;
-  double speedup_dag8_over_sequential = 0.0;
+  double speedup_dag8_over_dag1 = 0.0;
 };
 
 VariantResult run_pipeline_variant(const std::string& name,
                                    const cla::trace::Trace& trace,
-                                   cla::analysis::WalkEngine engine,
                                    unsigned workers, std::uint64_t max_rss_mb,
                                    int iterations) {
   VariantResult r;
@@ -78,7 +78,6 @@ VariantResult run_pipeline_variant(const std::string& name,
   r.best_ns = ~0ull;
   for (int i = 0; i < iterations; ++i) {
     cla::analysis::Options options;
-    options.execution.walk = engine;
     options.execution.num_threads = workers;
     options.limits.max_rss_mb = max_rss_mb;
     reset_peak_rss();
@@ -152,23 +151,19 @@ WorkloadResultRow bench_workload(const std::string& workload,
   const cla::trace::Trace trace =
       cla::workloads::run_workload(workload, config).trace;
 
-  using cla::analysis::WalkEngine;
   WorkloadResultRow row;
   row.workload = workload;
   row.events = trace.event_count();
-  row.variants.push_back(run_pipeline_variant(
-      "sequential", trace, WalkEngine::Sequential, 1, 0, iterations));
   row.variants.push_back(
-      run_pipeline_variant("dag-1", trace, WalkEngine::Dag, 1, 0, iterations));
+      run_pipeline_variant("dag-1", trace, 1, 0, iterations));
   row.variants.push_back(
-      run_pipeline_variant("dag-8", trace, WalkEngine::Dag, 8, 0, iterations));
+      run_pipeline_variant("dag-8", trace, 8, 0, iterations));
   row.variants.push_back(run_incremental_variant(trace, iterations));
-  row.variants.push_back(run_pipeline_variant("streaming", trace,
-                                              WalkEngine::Dag, 1, 4096,
-                                              iterations));
-  row.speedup_dag8_over_sequential =
+  row.variants.push_back(
+      run_pipeline_variant("streaming", trace, 1, 4096, iterations));
+  row.speedup_dag8_over_dag1 =
       static_cast<double>(row.variants[0].best_ns) /
-      static_cast<double>(std::max<std::uint64_t>(1, row.variants[2].best_ns));
+      static_cast<double>(std::max<std::uint64_t>(1, row.variants[1].best_ns));
 
   std::printf("\n%s: %llu events\n", workload.c_str(),
               static_cast<unsigned long long>(row.events));
@@ -180,8 +175,7 @@ WorkloadResultRow bench_workload(const std::string& workload,
                 static_cast<double>(v.peak_rss) / (1024.0 * 1024.0),
                 static_cast<double>(v.engine_bytes) / (1024.0 * 1024.0));
   }
-  std::printf("  dag-8 over sequential: %.2fx\n",
-              row.speedup_dag8_over_sequential);
+  std::printf("  dag-8 over dag-1: %.2fx\n", row.speedup_dag8_over_dag1);
   return row;
 }
 
@@ -203,8 +197,8 @@ void append_json(std::string& out, const WorkloadResultRow& row, bool last) {
     out += buf;
   }
   std::snprintf(buf, sizeof buf,
-                "    ], \"speedup_dag8_over_sequential\": %.3f}%s\n",
-                row.speedup_dag8_over_sequential, last ? "" : ",");
+                "    ], \"speedup_dag8_over_dag1\": %.3f}%s\n",
+                row.speedup_dag8_over_dag1, last ? "" : ",");
   out += buf;
 }
 

@@ -1,6 +1,7 @@
 // google-benchmark microbenches for the analysis module itself: indexing,
-// wake-up resolution, the backward walk and full analysis throughput on a
-// realistic trace (the 16-thread Radiosity workload, ~80k events).
+// the segment-DAG build (wake-up resolution), the DAG walk and full
+// analysis throughput on a realistic trace (the 16-thread Radiosity
+// workload, ~80k events).
 #include <benchmark/benchmark.h>
 
 #include "cla/analysis/pipeline.hpp"
@@ -68,24 +69,24 @@ void BM_TraceIndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceIndexBuild);
 
-void BM_WakeupResolution(benchmark::State& state) {
+void BM_SegmentDagBuild(benchmark::State& state) {
   const auto& trace = radiosity_trace();
   const cla::analysis::TraceIndex index(trace);
   for (auto _ : state) {
-    cla::analysis::WakeupResolver resolver(index);
-    benchmark::DoNotOptimize(&resolver);
+    const auto dag = cla::analysis::SegmentDag::build(index, nullptr);
+    benchmark::DoNotOptimize(dag.segment_count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(trace.event_count()));
 }
-BENCHMARK(BM_WakeupResolution);
+BENCHMARK(BM_SegmentDagBuild);
 
 void BM_CriticalPathWalk(benchmark::State& state) {
   const auto& trace = radiosity_trace();
   const cla::analysis::TraceIndex index(trace);
-  const cla::analysis::WakeupResolver resolver(index);
+  const auto dag = cla::analysis::SegmentDag::build(index, nullptr);
   for (auto _ : state) {
-    auto path = cla::analysis::compute_critical_path(index, resolver);
+    auto path = cla::analysis::compute_critical_path(dag, nullptr);
     benchmark::DoNotOptimize(path.intervals.size());
   }
 }
@@ -112,9 +113,9 @@ void BM_ParallelIndexStats(benchmark::State& state) {
   const auto& trace = big_synthetic_trace();
   cla::util::ThreadPool pool(static_cast<unsigned>(state.range(0)));
   const cla::analysis::TraceIndex seq_index(trace);
-  const cla::analysis::WakeupResolver resolver(seq_index);
   const cla::analysis::CriticalPath path =
-      cla::analysis::compute_critical_path(seq_index, resolver);
+      cla::analysis::compute_critical_path(
+          cla::analysis::SegmentDag::build(seq_index, nullptr), nullptr);
   for (auto _ : state) {
     cla::analysis::TraceIndex index(trace, &pool);
     auto result = cla::analysis::compute_stats(index, path, {}, &pool);

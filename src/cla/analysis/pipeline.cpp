@@ -21,7 +21,6 @@ std::string_view stage_name(Stage stage) noexcept {
     case Stage::Load: return "load";
     case Stage::Validate: return "validate";
     case Stage::Index: return "index";
-    case Stage::Resolve: return "resolve";
     case Stage::BuildDag: return "builddag";
     case Stage::Walk: return "walk";
     case Stage::Stats: return "stats";
@@ -98,7 +97,6 @@ void Pipeline::reset_stages() {
   repaired_ = false;
   sink_.clear();
   index_.reset();
-  resolver_.reset();
   dag_.reset();
   dag_stats_ = DagWalkStats{};
   path_.reset();
@@ -301,16 +299,6 @@ Pipeline& Pipeline::index_stage() {
   return *this;
 }
 
-Pipeline& Pipeline::resolve_stage() {
-  if (resolver_.has_value()) return *this;
-  index_stage();
-  const std::uint64_t start = util::now_ns();
-  deadline().check("resolve");
-  resolver_.emplace(*index_);
-  record(Stage::Resolve, start);
-  return *this;
-}
-
 Pipeline& Pipeline::dag_stage() {
   if (dag_.has_value()) return *this;
   index_stage();
@@ -326,16 +314,6 @@ Pipeline& Pipeline::walk_stage() {
   if (path_.has_value() || result_.has_value()) return *this;
   if (bounded()) {
     streaming_stage();
-    return *this;
-  }
-  if (options_.execution.walk == WalkEngine::Sequential) {
-    resolve_stage();
-    const std::uint64_t start = util::now_ns();
-    const util::Deadline& dl = deadline();
-    dl.check("walk");
-    path_ = compute_critical_path(*index_, *resolver_,
-                                  dl.unlimited() ? nullptr : &dl);
-    record(Stage::Walk, start);
     return *this;
   }
   dag_stage();
@@ -455,8 +433,6 @@ std::string Pipeline::report_json() {
     meta.dag_segments = streaming_segments_;
     meta.dag_threads = streaming_threads_;
   } else {
-    // Built on demand even under WalkEngine::Sequential so the payload is
-    // engine-independent (the determinism suite compares them bytewise).
     dag_stage();
     meta.dag_segments = dag_->segment_count();
     meta.dag_threads = dag_->thread_count();

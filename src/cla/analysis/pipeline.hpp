@@ -10,23 +10,19 @@
 // count. `builddag` condenses the trace into the segment DAG
 // (segment_dag.hpp) with every hop speculatively resolved in parallel;
 // `walk` then merges the hop chain into the critical path — byte-for-byte
-// the path the legacy sequential backward walk produces
-// (ExecutionPolicy::walk selects the engine; the `resolve` stage only
-// runs under WalkEngine::Sequential).
+// the path of the paper's event-by-event backward walk.
 //
 // A non-zero ResourceLimits::max_rss_mb reroutes the analysis through the
 // bounded-RSS streaming engine (streaming.hpp): a single cursor sweep
 // builds the DAG without ever materializing the per-event index, and the
-// statistics are recomputed in windowed per-thread rescans, so traces
-// larger than RAM analyze under a fixed memory budget — with the same
-// report bytes.
+// statistics are tallied in windowed per-thread rescans, so traces larger
+// than RAM analyze under a fixed memory budget — with the same report
+// bytes (both routes turn their tallies into statistics through the same
+// assembly, stats.hpp).
 //
 // Each stage records its wall-clock cost; `profile()` is the analyzer's
 // own observability layer (`cla-analyze --profile`, and the JSON report's
 // "profile" array when ReportOptions::json_profile is set).
-//
-// The deprecated one-shot `cla::analyze()` is a thin wrapper over this
-// class (see README, MIGRATION).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +35,6 @@
 
 #include "cla/analysis/critical_path.hpp"
 #include "cla/analysis/report.hpp"
-#include "cla/analysis/resolver.hpp"
 #include "cla/analysis/stats.hpp"
 #include "cla/trace/salvage.hpp"
 #include "cla/trace/trace.hpp"
@@ -53,22 +48,11 @@ class ThreadPool;
 
 namespace cla::analysis {
 
-/// Which critical-path construction the walk stage runs. Both produce
-/// bit-identical output (the determinism suite pins this); Sequential
-/// exists as the reference implementation and comparison baseline.
-enum class WalkEngine {
-  Dag,         ///< segment-DAG build + speculative parallel hop merge
-  Sequential,  ///< the paper's event-by-event backward walk
-};
-
 /// How the parallel stages (index, builddag, walk, stats) execute.
 struct ExecutionPolicy {
   /// Worker threads for the fan-out stages. 1 = fully sequential (the
   /// legacy behaviour); 0 = one per hardware thread.
   unsigned num_threads = 1;
-  /// Walk engine; Dag is the default. Sequential restores the legacy
-  /// resolve+walk stages (and is the only consumer of `resolve`).
-  WalkEngine walk = WalkEngine::Dag;
 };
 
 /// Load-stage knobs (streaming .clat reader / mmap view).
@@ -88,9 +72,7 @@ struct LoadOptions {
 };
 
 /// One coherent options aggregate for the whole pipeline, with per-stage
-/// sub-structs. The historical scattered option structs survive:
-/// `AnalyzeOptions` is an alias of this type, and `StatsOptions` /
-/// `ReportOptions` are its per-stage sub-structs (see README, MIGRATION).
+/// sub-structs (`StatsOptions`, `ReportOptions`, ...).
 struct Options {
   /// Validate the trace's structural invariants before analyzing.
   bool validate = true;
@@ -107,9 +89,8 @@ struct Options {
   util::ResourceLimits limits;
 };
 
-/// The pipeline's stages, in execution order. Resolve only runs under
-/// WalkEngine::Sequential; BuildDag only under WalkEngine::Dag.
-enum class Stage { Load, Validate, Index, Resolve, BuildDag, Walk, Stats, Report };
+/// The pipeline's stages, in execution order.
+enum class Stage { Load, Validate, Index, BuildDag, Walk, Stats, Report };
 
 /// Lower-case stage name as printed by --profile and --help.
 std::string_view stage_name(Stage stage) noexcept;
@@ -180,15 +161,10 @@ class Pipeline {
   Pipeline& validate_stage();
   /// Per-primitive forward indexing (parallel across trace threads).
   Pipeline& index_stage();
-  /// Wake-up resolution ("find the segment that released me"). Only the
-  /// sequential walk engine consumes the result; the DAG engine resolves
-  /// wake-ups on the fly while building segments.
-  Pipeline& resolve_stage();
   /// Segment-DAG construction: shard-parallel boundary discovery plus
   /// chunked speculative hop resolution (see segment_dag.hpp).
   Pipeline& dag_stage();
-  /// Backward critical-path construction via the engine selected by
-  /// ExecutionPolicy::walk.
+  /// Backward critical-path construction over the segment DAG.
   Pipeline& walk_stage();
   /// TYPE 1 / TYPE 2 statistics (parallel across locks/barriers). With a
   /// non-zero limits.max_rss_mb this instead runs the bounded-RSS
@@ -204,7 +180,7 @@ class Pipeline {
   /// view() unless a Trace is specifically required.
   const trace::Trace& trace();
   const TraceIndex& trace_index();
-  /// The segment DAG (builds it on demand, regardless of walk engine).
+  /// The segment DAG (builds it on demand).
   const SegmentDag& segment_dag();
   /// Counters from the DAG merge walk; zeros until a DAG walk ran.
   const DagWalkStats& dag_walk_stats() const noexcept { return dag_stats_; }
@@ -284,7 +260,6 @@ class Pipeline {
   util::Deadline deadline_;
   util::DiagnosticSink sink_;
   std::optional<TraceIndex> index_;
-  std::optional<WakeupResolver> resolver_;
   std::optional<SegmentDag> dag_;
   DagWalkStats dag_stats_;
   std::optional<CriticalPath> path_;

@@ -130,24 +130,4 @@ Resolution resolve_wakeup(const TraceIndex& index, trace::ThreadId tid,
   return r;
 }
 
-WakeupResolver::WakeupResolver(const TraceIndex& index) {
-  const trace::TraceView& t = index.view();
-  per_thread_.resize(t.thread_count());
-  for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
-    const trace::EventsView& events = t.thread_events(tid);
-    per_thread_[tid].resize(events.size());
-    for (std::uint32_t i = 0; i < events.size(); ++i) {
-      if (!trace::is_wakeup(events.type_at(i))) continue;
-      per_thread_[tid][i] = resolve_wakeup(index, tid, i);
-    }
-  }
-}
-
-const Resolution& WakeupResolver::resolve(trace::ThreadId tid,
-                                          std::uint32_t idx) const {
-  CLA_ASSERT(tid < per_thread_.size() && idx < per_thread_[tid].size(),
-             "resolve() position out of range");
-  return per_thread_[tid][idx];
-}
-
 }  // namespace cla::analysis

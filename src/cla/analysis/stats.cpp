@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <mutex>
 
 #include "cla/util/stats.hpp"
 #include "cla/util/thread_pool.hpp"
@@ -26,117 +25,198 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
                              const StatsOptions& options,
                              util::ThreadPool* pool) {
   const trace::TraceView& t = index.view();
+  StatsTally tally;
+  tally.threads.reserve(t.thread_count());
+  for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
+    const ThreadInfo& info = index.threads()[tid];
+    tally.threads.push_back({info.duration(), info.sync_ops});
+  }
+  const auto run = [pool](std::size_t count, const auto& task) {
+    if (pool != nullptr) {
+      pool->parallel_for(count, task);
+    } else {
+      for (std::size_t k = 0; k < count; ++k) task(k);
+    }
+  };
+
+  // One task per lock: the path overlap of every section is the costly
+  // part. The slots are inserted up front, so each task writes only its
+  // own map value.
+  std::vector<std::pair<const MutexIndex*, PerThread<LockThreadTally>*>> locks;
+  for (const auto& [id, mi] : index.mutexes()) {
+    locks.emplace_back(&mi, &tally.locks[id]);
+  }
+  run(locks.size(), [&](std::size_t k) {
+    std::vector<LockThreadTally> by_thread(t.thread_count());
+    for (const CsRecord& cs : locks[k].first->sections) {
+      tally_section(by_thread[cs.tid], cs,
+                    path.overlap(cs.tid, cs.acquired_ts, cs.released_ts));
+    }
+    for (trace::ThreadId tid = 0; tid < by_thread.size(); ++tid) {
+      if (by_thread[tid].sections.invocations == 0) continue;
+      locks[k].second->emplace_back(tid, std::move(by_thread[tid]));
+    }
+  });
+
+  // Barriers: same fan-out shape.
+  std::vector<std::pair<const BarrierIndex*, StatsTally::Barrier*>> barriers;
+  for (const auto& [id, bi] : index.barriers()) {
+    barriers.emplace_back(&bi, &tally.barriers[id]);
+  }
+  run(barriers.size(), [&](std::size_t k) {
+    const BarrierIndex& bi = *barriers[k].first;
+    std::vector<WaitTally> by_thread(t.thread_count());
+    for (const BarrierWaitRecord& w : bi.waits) {
+      ++by_thread[w.tid].waits;
+      by_thread[w.tid].wait += w.leave_ts - w.arrive_ts;
+    }
+    StatsTally::Barrier& out = *barriers[k].second;
+    out.episodes = bi.episodes.size();
+    for (trace::ThreadId tid = 0; tid < by_thread.size(); ++tid) {
+      if (by_thread[tid].waits == 0) continue;
+      out.threads.emplace_back(tid, by_thread[tid]);
+    }
+  });
+
+  for (const auto& [id, ci] : index.conds()) {
+    StatsTally::Cond& out = tally.conds[id];
+    out.waits.waits = ci.waits.size();
+    for (const CondWaitRecord& w : ci.waits) {
+      out.waits.wait += w.end_ts - w.begin_ts;
+    }
+    out.signals = ci.signals.size();
+  }
+  return assemble_stats(t, tally, std::move(path), options);
+}
+
+CsTally& CsTally::operator+=(const CsTally& other) noexcept {
+  invocations += other.invocations;
+  contended += other.contended;
+  wait += other.wait;
+  hold += other.hold;
+  cp_invocations += other.cp_invocations;
+  cp_contended += other.cp_contended;
+  cp_hold += other.cp_hold;
+  return *this;
+}
+
+void tally_section(LockThreadTally& tally, const CsRecord& cs,
+                   std::uint64_t on_path) {
+  CsTally one;
+  one.invocations = 1;
+  one.contended = cs.contended ? 1 : 0;
+  one.wait = cs.wait_time();
+  one.hold = cs.hold_time();
+  if (on_path > 0) {
+    one.cp_invocations = 1;
+    one.cp_contended = one.contended;
+    one.cp_hold = on_path;
+  }
+  tally.sections += one;
+  if (cs.stack_id != 0) tally.callsites[cs.stack_id] += one;
+}
+
+namespace {
+
+/// Symbolized frames of call stack `stack_id`, innermost first: names from
+/// the trace's symbol table, raw hex PCs where it has none (crash spills).
+std::vector<std::string> callsite_frames(const trace::TraceView& view,
+                                         std::uint64_t stack_id) {
+  std::vector<std::string> frames;
+  const auto stack = view.call_stacks().find(stack_id);
+  if (stack == view.call_stacks().end()) return frames;
+  const auto& symbols = view.frame_symbols();
+  frames.reserve(stack->second.size());
+  for (std::uint64_t pc : stack->second) {
+    if (auto sym = symbols.find(pc); sym != symbols.end()) {
+      frames.push_back(sym->second);
+    } else {
+      char buf[2 + 16 + 1];
+      std::snprintf(buf, sizeof(buf), "0x%llx",
+                    static_cast<unsigned long long>(pc));
+      frames.emplace_back(buf);
+    }
+  }
+  return frames;
+}
+
+}  // namespace
+
+AnalysisResult assemble_stats(const trace::TraceView& view,
+                              const StatsTally& tally, CriticalPath path,
+                              const StatsOptions& options) {
   AnalysisResult result;
   result.completion_time = path.length();
 
   // --- thread stats & the TYPE 2 averaging denominator ---
-  std::vector<bool> is_worker(t.thread_count(), false);
-  for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
-    const ThreadInfo& info = index.threads()[tid];
+  const std::size_t thread_count = tally.threads.size();
+  std::vector<bool> is_worker(thread_count, false);
+  for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
     ThreadStats ts;
     ts.tid = tid;
-    ts.name = t.thread_display_name(tid);
-    ts.duration = info.duration();
+    ts.name = view.thread_display_name(tid);
+    ts.duration = tally.threads[tid].duration;
     ts.cp_time = path.thread_time(tid);
-    ts.sync_ops = info.sync_ops;
+    ts.sync_ops = tally.threads[tid].sync_ops;
     result.threads.push_back(std::move(ts));
-    is_worker[tid] = !options.worker_threads_only || info.sync_ops > 0;
+    is_worker[tid] =
+        !options.worker_threads_only || tally.threads[tid].sync_ops > 0;
   }
   std::size_t workers = 0;
   for (bool w : is_worker) workers += w ? 1 : 0;
   if (workers == 0) {  // degenerate trace: average over everything
     std::fill(is_worker.begin(), is_worker.end(), true);
-    workers = t.thread_count();
+    workers = thread_count;
   }
   result.worker_threads = workers;
-
+  const auto worker_count = static_cast<double>(workers);
   const double cp_len = static_cast<double>(path.length());
 
-  // --- per-lock stats ---
-  // One task per lock. Each task writes only its own pre-sized slot of
-  // result.locks; the per-thread lock wait/hold accumulation crosses locks,
-  // so it lands in result.threads under a mutex — integer additions
-  // commute, so the totals are scheduling-independent.
-  std::vector<const MutexIndex*> mutex_list;
-  std::vector<trace::ObjectId> mutex_ids;
-  mutex_list.reserve(index.mutexes().size());
-  mutex_ids.reserve(index.mutexes().size());
-  for (const auto& [id, mi] : index.mutexes()) {
-    mutex_ids.push_back(id);
-    mutex_list.push_back(&mi);
-  }
-  result.locks.resize(mutex_list.size());
-  // Per-lock callsite groups, keyed by stack id (slot per lock so the
-  // fan-out stays write-disjoint); merged after the barrier below.
-  std::vector<std::map<std::uint64_t, CallsiteStats>> callsites_per_lock(
-      mutex_list.size());
-  std::mutex thread_totals_mutex;
-  const auto compute_lock = [&](std::size_t k) {
-    const trace::ObjectId id = mutex_ids[k];
-    const MutexIndex& mi = *mutex_list[k];
+  // Average over the worker threads of the fraction of each one's lifetime
+  // spent in `ns(entry)`, summed in thread-id order (threads without an
+  // entry add 0).
+  const auto avg_fraction = [&](const auto& per_thread, const auto& ns) {
+    double sum = 0.0;
+    for (const auto& [tid, entry] : per_thread) {
+      if (!is_worker[tid]) continue;
+      sum += safe_ratio(static_cast<double>(ns(entry)),
+                        static_cast<double>(tally.threads[tid].duration));
+    }
+    return sum / worker_count;
+  };
+
+  // --- per-lock and per-(lock, callsite) stats ---
+  for (const auto& [id, per_thread] : tally.locks) {
     LockStats ls;
     ls.id = id;
-    ls.name = t.object_display_name(id, "mutex");
-
-    // Per-thread wait/hold accumulation for the TYPE 2 fractions.
-    std::vector<std::uint64_t> wait_per_thread(t.thread_count(), 0);
-    std::vector<std::uint64_t> hold_per_thread(t.thread_count(), 0);
-
-    std::map<std::uint64_t, CallsiteStats>& groups = callsites_per_lock[k];
-    for (const CsRecord& cs : mi.sections) {
-      ++ls.invocations;
-      if (cs.contended) ++ls.contended;
-      ls.total_wait += cs.wait_time();
-      ls.total_hold += cs.hold_time();
-      wait_per_thread[cs.tid] += cs.wait_time();
-      hold_per_thread[cs.tid] += cs.hold_time();
-
-      // TYPE 1: does this critical section lie on the critical path?
-      const std::uint64_t on_path =
-          path.overlap(cs.tid, cs.acquired_ts, cs.released_ts);
-      if (on_path > 0) {
-        ++ls.cp_invocations;
-        if (cs.contended) ++ls.cp_contended;
-        ls.cp_hold_time += on_path;
-      }
-
-      // Callsite breakdown — only for sections that carried a stack id.
-      if (cs.stack_id != 0) {
-        CallsiteStats& g = groups[cs.stack_id];
-        if (g.invocations == 0) {
-          g.lock_id = id;
-          g.lock_name = ls.name;
-          g.stack_id = cs.stack_id;
-        }
-        ++g.invocations;
-        if (cs.contended) ++g.contended;
-        g.total_wait += cs.wait_time();
-        g.total_hold += cs.hold_time();
-        if (on_path > 0) {
-          ++g.cp_invocations;
-          if (cs.contended) ++g.cp_contended;
-          g.cp_hold_time += on_path;
-        }
+    ls.name = view.object_display_name(id, "mutex");
+    CsTally total;
+    std::map<std::uint64_t, CsTally> callsites;
+    for (const auto& [tid, entry] : per_thread) {
+      total += entry.sections;
+      result.threads[tid].lock_wait_time += entry.sections.wait;
+      result.threads[tid].lock_hold_time += entry.sections.hold;
+      for (const auto& [stack_id, cs] : entry.callsites) {
+        callsites[stack_id] += cs;
       }
     }
-
-    double wait_fraction_sum = 0.0;
-    double hold_fraction_sum = 0.0;
-    for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
-      if (!is_worker[tid]) continue;
-      const double dur = static_cast<double>(index.threads()[tid].duration());
-      wait_fraction_sum += safe_ratio(static_cast<double>(wait_per_thread[tid]), dur);
-      hold_fraction_sum += safe_ratio(static_cast<double>(hold_per_thread[tid]), dur);
-    }
-    const auto worker_count = static_cast<double>(workers);
-    ls.avg_wait_fraction = wait_fraction_sum / worker_count;
-    ls.avg_hold_fraction = hold_fraction_sum / worker_count;
+    ls.invocations = total.invocations;
+    ls.contended = total.contended;
+    ls.total_wait = total.wait;
+    ls.total_hold = total.hold;
+    ls.cp_invocations = total.cp_invocations;
+    ls.cp_contended = total.cp_contended;
+    ls.cp_hold_time = total.cp_hold;
+    ls.avg_wait_fraction = avg_fraction(
+        per_thread, [](const LockThreadTally& e) { return e.sections.wait; });
+    ls.avg_hold_fraction = avg_fraction(
+        per_thread, [](const LockThreadTally& e) { return e.sections.hold; });
     ls.avg_invocations = static_cast<double>(ls.invocations) / worker_count;
     ls.avg_contention_prob =
         safe_ratio(static_cast<double>(ls.contended),
                    static_cast<double>(ls.invocations));
-
-    ls.cp_time_fraction = safe_ratio(static_cast<double>(ls.cp_hold_time), cp_len);
+    ls.cp_time_fraction =
+        safe_ratio(static_cast<double>(ls.cp_hold_time), cp_len);
     ls.cp_contention_prob =
         safe_ratio(static_cast<double>(ls.cp_contended),
                    static_cast<double>(ls.cp_invocations));
@@ -144,19 +224,23 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
         safe_ratio(static_cast<double>(ls.cp_invocations), ls.avg_invocations);
     ls.hold_increase = safe_ratio(ls.cp_time_fraction, ls.avg_hold_fraction);
 
-    {
-      std::lock_guard<std::mutex> guard(thread_totals_mutex);
-      for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
-        result.threads[tid].lock_wait_time += wait_per_thread[tid];
-        result.threads[tid].lock_hold_time += hold_per_thread[tid];
-      }
+    for (const auto& [stack_id, cs] : callsites) {
+      CallsiteStats g;
+      g.lock_id = id;
+      g.lock_name = ls.name;
+      g.stack_id = stack_id;
+      g.cp_hold_time = cs.cp_hold;
+      g.cp_invocations = cs.cp_invocations;
+      g.cp_contended = cs.cp_contended;
+      g.cp_time_fraction = safe_ratio(static_cast<double>(cs.cp_hold), cp_len);
+      g.invocations = cs.invocations;
+      g.contended = cs.contended;
+      g.total_wait = cs.wait;
+      g.total_hold = cs.hold;
+      g.frames = callsite_frames(view, stack_id);
+      result.callsites.push_back(std::move(g));
     }
-    result.locks[k] = std::move(ls);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(mutex_list.size(), compute_lock);
-  } else {
-    for (std::size_t k = 0; k < mutex_list.size(); ++k) compute_lock(k);
+    result.locks.push_back(std::move(ls));
   }
   std::sort(result.locks.begin(), result.locks.end(),
             [](const LockStats& a, const LockStats& b) {
@@ -165,32 +249,6 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
               if (a.total_wait != b.total_wait) return a.total_wait > b.total_wait;
               return a.name < b.name;
             });
-
-  // Merge the per-lock callsite groups; iteration order (lock slot, then
-  // stack id) is fixed, and the final sort is a strict ranking, so the
-  // result is pool-independent. Frames resolve against the trace's symbol
-  // table here, falling back to raw hex PCs (crash spills carry none).
-  const auto& stack_table = t.call_stacks();
-  const auto& symbol_table = t.frame_symbols();
-  for (auto& groups : callsites_per_lock)
-    for (auto& [sid, g] : groups) {
-      g.cp_time_fraction =
-          safe_ratio(static_cast<double>(g.cp_hold_time), cp_len);
-      if (auto it = stack_table.find(g.stack_id); it != stack_table.end()) {
-        g.frames.reserve(it->second.size());
-        for (std::uint64_t pc : it->second) {
-          if (auto sym = symbol_table.find(pc); sym != symbol_table.end()) {
-            g.frames.push_back(sym->second);
-          } else {
-            char buf[2 + 16 + 1];
-            std::snprintf(buf, sizeof(buf), "0x%llx",
-                          static_cast<unsigned long long>(pc));
-            g.frames.emplace_back(buf);
-          }
-        }
-      }
-      result.callsites.push_back(std::move(g));
-    }
   std::sort(result.callsites.begin(), result.callsites.end(),
             [](const CallsiteStats& a, const CallsiteStats& b) {
               if (a.cp_hold_time != b.cp_hold_time)
@@ -200,51 +258,27 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
               return a.stack_id < b.stack_id;
             });
 
-  // --- barrier stats (same fan-out shape as the locks) ---
-  std::vector<const BarrierIndex*> barrier_list;
-  std::vector<trace::ObjectId> barrier_ids;
-  barrier_list.reserve(index.barriers().size());
-  barrier_ids.reserve(index.barriers().size());
-  for (const auto& [id, bi] : index.barriers()) {
-    barrier_ids.push_back(id);
-    barrier_list.push_back(&bi);
-  }
-  result.barriers.resize(barrier_list.size());
-  const auto compute_barrier = [&](std::size_t k) {
-    const BarrierIndex& bi = *barrier_list[k];
+  // --- barrier and condvar stats ---
+  for (const auto& [id, bt] : tally.barriers) {
     BarrierStats bs;
-    bs.id = barrier_ids[k];
-    bs.name = t.object_display_name(bs.id, "barrier");
-    bs.episodes = bi.episodes.size();
-    bs.waits = bi.waits.size();
-    std::vector<std::uint64_t> wait_per_thread(t.thread_count(), 0);
-    for (const auto& w : bi.waits) {
-      bs.total_wait_time += w.leave_ts - w.arrive_ts;
-      wait_per_thread[w.tid] += w.leave_ts - w.arrive_ts;
+    bs.id = id;
+    bs.name = view.object_display_name(id, "barrier");
+    bs.episodes = bt.episodes;
+    for (const auto& [tid, w] : bt.threads) {
+      bs.waits += w.waits;
+      bs.total_wait_time += w.wait;
     }
-    double fraction_sum = 0.0;
-    for (trace::ThreadId tid = 0; tid < t.thread_count(); ++tid) {
-      if (!is_worker[tid]) continue;
-      fraction_sum += safe_ratio(static_cast<double>(wait_per_thread[tid]),
-                                 static_cast<double>(index.threads()[tid].duration()));
-    }
-    bs.avg_wait_fraction = fraction_sum / static_cast<double>(workers);
-    result.barriers[k] = std::move(bs);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(barrier_list.size(), compute_barrier);
-  } else {
-    for (std::size_t k = 0; k < barrier_list.size(); ++k) compute_barrier(k);
+    bs.avg_wait_fraction =
+        avg_fraction(bt.threads, [](const WaitTally& w) { return w.wait; });
+    result.barriers.push_back(std::move(bs));
   }
-
-  // --- condvar stats ---
-  for (const auto& [id, ci] : index.conds()) {
+  for (const auto& [id, ct] : tally.conds) {
     CondStats cs;
     cs.id = id;
-    cs.name = t.object_display_name(id, "cond");
-    cs.waits = ci.waits.size();
-    cs.signals = ci.signals.size();
-    for (const auto& w : ci.waits) cs.total_wait_time += w.end_ts - w.begin_ts;
+    cs.name = view.object_display_name(id, "cond");
+    cs.waits = ct.waits.waits;
+    cs.signals = ct.signals;
+    cs.total_wait_time = ct.waits.wait;
     result.conds.push_back(std::move(cs));
   }
 

@@ -14,7 +14,9 @@
 //                      critical sections
 #pragma once
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cla/analysis/critical_path.hpp"
@@ -138,13 +140,84 @@ struct AnalysisResult {
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
                              const StatsOptions& options = {});
 
-/// Pooled variant: the per-lock and per-barrier aggregations (TYPE 2 plus
-/// the TYPE 1 path overlaps) fan out across `pool`, one task per
-/// primitive, writing into pre-sized slots so the result — including the
-/// final ranking — is bit-identical to the sequential computation. A null
-/// pool (or a pool of size 1) runs inline.
+/// Pooled variant: the per-lock and per-barrier tallies (TYPE 2 plus the
+/// TYPE 1 path overlaps) fan out across `pool`, one task per primitive,
+/// each writing only its own slot, so the result — including the final
+/// ranking — is bit-identical to the sequential computation. A null pool
+/// (or a pool of size 1) runs inline.
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
                              const StatsOptions& options,
                              util::ThreadPool* pool);
+
+// --- the integer tallies every statistic derives from ---
+//
+// compute_stats tallies the TraceIndex's records, the bounded-RSS engine
+// (streaming.hpp) tallies its per-thread rescans; assemble_stats turns
+// either into an AnalysisResult, so the fractions, averages, rankings and
+// attribution rules exist once.
+
+/// A set of critical sections, with the part of them on the critical path.
+struct CsTally {
+  std::uint64_t invocations = 0;
+  std::uint64_t contended = 0;
+  std::uint64_t wait = 0;            ///< ns
+  std::uint64_t hold = 0;            ///< ns
+  std::uint64_t cp_invocations = 0;  ///< sections overlapping the path
+  std::uint64_t cp_contended = 0;
+  std::uint64_t cp_hold = 0;         ///< ns of hold time on the path
+
+  CsTally& operator+=(const CsTally& other) noexcept;
+};
+
+/// One thread's critical sections of one lock, in total and by
+/// acquisition call stack (sections without a stack id count in total
+/// only).
+struct LockThreadTally {
+  CsTally sections;
+  std::map<std::uint64_t, CsTally> callsites;  ///< by stack id
+};
+
+/// Adds critical section `cs`, of which `on_path` ns lie on the critical
+/// path, to `tally`.
+void tally_section(LockThreadTally& tally, const CsRecord& cs,
+                   std::uint64_t on_path);
+
+/// Completed waits at a barrier or condvar.
+struct WaitTally {
+  std::uint64_t waits = 0;
+  std::uint64_t wait = 0;  ///< ns
+};
+
+/// Per-thread entries in ascending thread id; a thread without records of
+/// the primitive has none.
+template <typename T>
+using PerThread = std::vector<std::pair<trace::ThreadId, T>>;
+
+struct StatsTally {
+  struct Thread {
+    std::uint64_t duration = 0;
+    std::uint64_t sync_ops = 0;
+  };
+  struct Barrier {
+    std::uint64_t episodes = 0;
+    PerThread<WaitTally> threads;
+  };
+  struct Cond {
+    WaitTally waits;
+    std::uint64_t signals = 0;
+  };
+
+  std::vector<Thread> threads;  ///< indexed by thread id
+  std::map<trace::ObjectId, PerThread<LockThreadTally>> locks;
+  std::map<trace::ObjectId, Barrier> barriers;
+  std::map<trace::ObjectId, Cond> conds;
+};
+
+/// Builds the statistics from `tally`: names from `view`, TYPE 1/TYPE 2
+/// fractions over the path and the worker threads, both rankings,
+/// symbolized callsite frames and the barrier/condvar path crossings.
+AnalysisResult assemble_stats(const trace::TraceView& view,
+                              const StatsTally& tally, CriticalPath path,
+                              const StatsOptions& options);
 
 }  // namespace cla::analysis

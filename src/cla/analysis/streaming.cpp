@@ -25,7 +25,6 @@
 #include "cla/analysis/index.hpp"
 #include "cla/util/clock.hpp"
 #include "cla/util/error.hpp"
-#include "cla/util/stats.hpp"
 #include "cla/util/thread_pool.hpp"
 
 namespace cla::analysis {
@@ -33,7 +32,6 @@ namespace cla::analysis {
 namespace {
 
 using trace::EventType;
-using util::safe_ratio;
 
 /// Live barrier generations kept per barrier; the oldest retires beyond
 /// this (windowed carry-state retirement).
@@ -162,35 +160,12 @@ struct StartCandidate {
   std::uint32_t idx = 0;
 };
 
-// --- pass 2 per-thread aggregates (integer, so merge order only matters
-// --- for map key creation — done in tid order like the full merge) ---
-
-struct LockAgg {
-  std::uint64_t invocations = 0;
-  std::uint64_t contended = 0;
-  std::uint64_t wait = 0;
-  std::uint64_t hold = 0;
-  std::uint64_t cp_invocations = 0;
-  std::uint64_t cp_contended = 0;
-  std::uint64_t cp_hold = 0;
-};
-struct BarAgg {
-  std::uint64_t waits = 0;
-  std::uint64_t wait_sum = 0;
-};
-struct CondAgg {
-  std::uint64_t waits = 0;
-  std::uint64_t wait_sum = 0;
-  std::uint64_t signals = 0;
-};
+/// Pass 2: one thread's tallies, merged into the StatsTally in tid order.
 struct ThreadAgg {
-  std::map<trace::ObjectId, LockAgg> locks;
-  std::map<trace::ObjectId, BarAgg> bars;
-  std::map<trace::ObjectId, CondAgg> conds;
-  std::uint64_t sync_ops = 0;
-  std::uint64_t lock_wait = 0;
-  std::uint64_t lock_hold = 0;
-  std::uint64_t duration = 0;
+  std::map<trace::ObjectId, LockThreadTally> locks;
+  std::map<trace::ObjectId, WaitTally> bars;
+  std::map<trace::ObjectId, StatsTally::Cond> conds;
+  StatsTally::Thread thread;
 };
 
 /// The sweep: resolves every blocking wake-up into per-thread segment
@@ -665,8 +640,8 @@ class Sweep {
   std::uint64_t accounted_ = 0;
 };
 
-/// Pass 2: per-thread chunked rescan deriving the integer aggregates the
-/// stats assembly needs, draining closed records after every chunk so the
+/// Pass 2: per-thread chunked rescan tallying the thread's records for
+/// assemble_stats, draining closed records after every chunk so the
 /// transient footprint stays bounded by open records + one chunk.
 ThreadAgg rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
                         const CriticalPath& path, Budget& budget) {
@@ -677,7 +652,7 @@ ThreadAgg rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
 
   const auto drain = [&](bool final_pass) {
     for (auto& [object, secs] : state.sections) {
-      LockAgg& la = agg.locks[object];  // keeps empty keys, like the merge
+      LockThreadTally& lt = agg.locks[object];  // keeps empty keys
       auto keep = secs.begin();
       for (auto& cs : secs) {
         if (cs.released_ts == ThreadScanState::kUnreleasedTs) {
@@ -690,33 +665,24 @@ ThreadAgg rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
           cs.released_ts = state.info.exit_ts;
           cs.released_idx = state.info.exit_idx;
         }
-        ++la.invocations;
-        if (cs.contended) ++la.contended;
-        la.wait += cs.wait_time();
-        la.hold += cs.hold_time();
-        const std::uint64_t on_path =
-            path.overlap(tid, cs.acquired_ts, cs.released_ts);
-        if (on_path > 0) {
-          ++la.cp_invocations;
-          if (cs.contended) ++la.cp_contended;
-          la.cp_hold += on_path;
-        }
+        tally_section(lt, cs,
+                      path.overlap(tid, cs.acquired_ts, cs.released_ts));
       }
       secs.erase(keep, secs.end());
     }
     for (auto& [object, waits] : state.barrier_waits) {
-      BarAgg& ba = agg.bars[object];
+      WaitTally& bt = agg.bars[object];
       for (const auto& w : waits) {
-        ++ba.waits;
-        ba.wait_sum += w.leave_ts - w.arrive_ts;
+        ++bt.waits;
+        bt.wait += w.leave_ts - w.arrive_ts;
       }
       waits.clear();
     }
     for (auto& [object, waits] : state.cond_waits) {
-      CondAgg& ca = agg.conds[object];
+      WaitTally& ct = agg.conds[object].waits;
       for (const auto& w : waits) {
-        ++ca.waits;
-        ca.wait_sum += w.end_ts - w.begin_ts;
+        ++ct.waits;
+        ct.wait += w.end_ts - w.begin_ts;
       }
       waits.clear();
     }
@@ -743,13 +709,7 @@ ThreadAgg rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
   }
   drain(true);
   budget.release(accounted);
-  agg.sync_ops = state.info.sync_ops;
-  agg.duration = state.info.duration();
-  for (const auto& [object, la] : agg.locks) {
-    (void)object;
-    agg.lock_wait += la.wait;
-    agg.lock_hold += la.hold;
-  }
+  agg.thread = {state.info.duration(), state.info.sync_ops};
   return agg;
 }
 
@@ -801,168 +761,35 @@ StreamingOutcome analyze_streaming(const trace::TraceView& view,
     for (trace::ThreadId tid = 0; tid < thread_count; ++tid) rescan_one(tid);
   }
 
-  // Merge in tid order, then assemble the result with compute_stats'
-  // exact iteration order and floating-point expressions.
-  struct LockGlobal {
-    LockAgg tot;
-    std::vector<std::uint64_t> wait_per_tid, hold_per_tid;
-  };
-  std::map<trace::ObjectId, LockGlobal> locks;
-  struct BarGlobal {
-    std::uint64_t waits = 0, wait_sum = 0;
-    std::vector<std::uint64_t> wait_per_tid;
-  };
-  std::map<trace::ObjectId, BarGlobal> bars;
-  struct CondGlobal {
-    std::uint64_t waits = 0, wait_sum = 0, signals = 0;
-  };
-  std::map<trace::ObjectId, CondGlobal> conds;
+  // Merge in tid order; the shared assembly does the rest.
+  StatsTally tally;
+  tally.threads.resize(thread_count);
+  std::uint64_t tally_bytes = 0;
   for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
-    const ThreadAgg& agg = per_thread[tid];
-    for (const auto& [object, la] : agg.locks) {
-      LockGlobal& lg = locks[object];
-      if (lg.wait_per_tid.empty()) {
-        lg.wait_per_tid.resize(thread_count, 0);
-        lg.hold_per_tid.resize(thread_count, 0);
-      }
-      lg.tot.invocations += la.invocations;
-      lg.tot.contended += la.contended;
-      lg.tot.wait += la.wait;
-      lg.tot.hold += la.hold;
-      lg.tot.cp_invocations += la.cp_invocations;
-      lg.tot.cp_contended += la.cp_contended;
-      lg.tot.cp_hold += la.cp_hold;
-      lg.wait_per_tid[tid] = la.wait;
-      lg.hold_per_tid[tid] = la.hold;
+    ThreadAgg& agg = per_thread[tid];
+    tally.threads[tid] = agg.thread;
+    for (auto& [object, lt] : agg.locks) {
+      tally_bytes += sizeof(std::pair<trace::ThreadId, LockThreadTally>) +
+                     lt.callsites.size() * (sizeof(CsTally) + 32);
+      tally.locks[object].emplace_back(tid, std::move(lt));
     }
-    for (const auto& [object, ba] : agg.bars) {
-      BarGlobal& bg = bars[object];
-      if (bg.wait_per_tid.empty()) bg.wait_per_tid.resize(thread_count, 0);
-      bg.waits += ba.waits;
-      bg.wait_sum += ba.wait_sum;
-      bg.wait_per_tid[tid] = ba.wait_sum;
+    for (const auto& [object, bt] : agg.bars) {
+      tally.barriers[object].threads.emplace_back(tid, bt);
     }
-    for (const auto& [object, ca] : agg.conds) {
-      CondGlobal& cg = conds[object];
-      cg.waits += ca.waits;
-      cg.wait_sum += ca.wait_sum;
-      cg.signals += ca.signals;
+    for (const auto& [object, ct] : agg.conds) {
+      StatsTally::Cond& into = tally.conds[object];
+      into.waits.waits += ct.waits.waits;
+      into.waits.wait += ct.waits.wait;
+      into.signals += ct.signals;
     }
   }
-  budget.charge(locks.size() * 2 * thread_count * sizeof(std::uint64_t));
-
-  AnalysisResult result;
-  result.completion_time = path.length();
-  std::vector<bool> is_worker(thread_count, false);
-  for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
-    const ThreadAgg& agg = per_thread[tid];
-    ThreadStats ts;
-    ts.tid = tid;
-    ts.name = view.thread_display_name(tid);
-    ts.duration = agg.duration;
-    ts.cp_time = path.thread_time(tid);
-    ts.sync_ops = agg.sync_ops;
-    ts.lock_wait_time = agg.lock_wait;
-    ts.lock_hold_time = agg.lock_hold;
-    result.threads.push_back(std::move(ts));
-    is_worker[tid] = !options.worker_threads_only || agg.sync_ops > 0;
+  for (auto& [object, barrier] : tally.barriers) {
+    barrier.episodes = sweep.episodes_of(object);
   }
-  std::size_t workers = 0;
-  for (bool w : is_worker) workers += w ? 1 : 0;
-  if (workers == 0) {
-    std::fill(is_worker.begin(), is_worker.end(), true);
-    workers = thread_count;
-  }
-  result.worker_threads = workers;
-  const double cp_len = static_cast<double>(path.length());
-
-  for (const auto& [id, lg] : locks) {
-    LockStats ls;
-    ls.id = id;
-    ls.name = view.object_display_name(id, "mutex");
-    ls.invocations = lg.tot.invocations;
-    ls.contended = lg.tot.contended;
-    ls.total_wait = lg.tot.wait;
-    ls.total_hold = lg.tot.hold;
-    ls.cp_invocations = lg.tot.cp_invocations;
-    ls.cp_contended = lg.tot.cp_contended;
-    ls.cp_hold_time = lg.tot.cp_hold;
-    double wait_fraction_sum = 0.0;
-    double hold_fraction_sum = 0.0;
-    for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
-      if (!is_worker[tid]) continue;
-      const double dur = static_cast<double>(per_thread[tid].duration);
-      wait_fraction_sum +=
-          safe_ratio(static_cast<double>(lg.wait_per_tid[tid]), dur);
-      hold_fraction_sum +=
-          safe_ratio(static_cast<double>(lg.hold_per_tid[tid]), dur);
-    }
-    const auto worker_count = static_cast<double>(workers);
-    ls.avg_wait_fraction = wait_fraction_sum / worker_count;
-    ls.avg_hold_fraction = hold_fraction_sum / worker_count;
-    ls.avg_invocations = static_cast<double>(ls.invocations) / worker_count;
-    ls.avg_contention_prob = safe_ratio(static_cast<double>(ls.contended),
-                                        static_cast<double>(ls.invocations));
-    ls.cp_time_fraction =
-        safe_ratio(static_cast<double>(ls.cp_hold_time), cp_len);
-    ls.cp_contention_prob =
-        safe_ratio(static_cast<double>(ls.cp_contended),
-                   static_cast<double>(ls.cp_invocations));
-    ls.invocation_increase =
-        safe_ratio(static_cast<double>(ls.cp_invocations), ls.avg_invocations);
-    ls.hold_increase = safe_ratio(ls.cp_time_fraction, ls.avg_hold_fraction);
-    result.locks.push_back(std::move(ls));
-  }
-  std::sort(result.locks.begin(), result.locks.end(),
-            [](const LockStats& a, const LockStats& b) {
-              if (a.cp_hold_time != b.cp_hold_time)
-                return a.cp_hold_time > b.cp_hold_time;
-              if (a.total_wait != b.total_wait) return a.total_wait > b.total_wait;
-              return a.name < b.name;
-            });
-
-  for (const auto& [id, bg] : bars) {
-    BarrierStats bs;
-    bs.id = id;
-    bs.name = view.object_display_name(id, "barrier");
-    bs.episodes = sweep.episodes_of(id);
-    bs.waits = bg.waits;
-    bs.total_wait_time = bg.wait_sum;
-    double fraction_sum = 0.0;
-    for (trace::ThreadId tid = 0; tid < thread_count; ++tid) {
-      if (!is_worker[tid]) continue;
-      fraction_sum +=
-          safe_ratio(static_cast<double>(bg.wait_per_tid[tid]),
-                     static_cast<double>(per_thread[tid].duration));
-    }
-    bs.avg_wait_fraction = fraction_sum / static_cast<double>(workers);
-    result.barriers.push_back(std::move(bs));
-  }
-
-  for (const auto& [id, cg] : conds) {
-    CondStats cs;
-    cs.id = id;
-    cs.name = view.object_display_name(id, "cond");
-    cs.waits = cg.waits;
-    cs.signals = cg.signals;
-    cs.total_wait_time = cg.wait_sum;
-    result.conds.push_back(std::move(cs));
-  }
-
-  for (const PathJump& jump : path.jumps) {
-    if (jump.kind == EventType::BarrierLeave) {
-      for (auto& bs : result.barriers)
-        if (bs.id == jump.object) ++bs.cp_jumps;
-    } else if (jump.kind == EventType::CondWaitEnd) {
-      for (auto& cs : result.conds)
-        if (cs.id == jump.object) ++cs.cp_jumps;
-    }
-  }
-
-  result.path = std::move(path);
+  budget.charge(tally_bytes);
+  out.result = assemble_stats(view, tally, std::move(path), options);
   out.timings.stats_ns = util::now_ns() - t0;
   out.peak_bytes = budget.peak();
-  out.result = std::move(result);
   return out;
 }
 

@@ -11,10 +11,10 @@
 //   2. dag     — the retained segments become a SegmentDag (hop
 //                resolution pass as usual);
 //   3. walk    — the speculative merge walk produces the critical path;
-//   4. stats   — per-thread rescans re-derive the TYPE 1 / TYPE 2
-//                aggregates with transient per-thread state, merged in
-//                tid order so every float sums in the exact order
-//                compute_stats uses.
+//   4. stats   — per-thread rescans tally the sections and waits with
+//                transient per-thread state; assemble_stats (stats.hpp),
+//                which compute_stats uses too, turns the tallies into the
+//                statistics.
 //
 // Retained state is byte-accounted against `budget_bytes`; exceeding the
 // budget aborts with a ResourceLimitError (CLI exit code 4). The report

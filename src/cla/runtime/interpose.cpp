@@ -31,11 +31,13 @@
 #include <dlfcn.h>
 #include <pthread.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -43,6 +45,11 @@
 #include "cla/runtime/recorder.hpp"
 #include "cla/trace/trace_io.hpp"
 #include "cla/util/clock.hpp"
+
+// The initial stack pointer of the process, recorded by the dynamic loader
+// (glibc); the main thread's frames all lie below it. Weak: absent on other
+// C libraries, where the main thread's capture stays at depth 1.
+extern "C" void* __libc_stack_end __attribute__((weak));
 
 namespace {
 
@@ -236,10 +243,11 @@ std::uint64_t ring_bytes_from_env() {
 // addresses, innermost first, interned into the trace's dedup'd
 // CallStacks table and referenced through MutexAcquire's arg field.
 // Depth 1 reads only this frame's return address and is always safe;
-// deeper levels follow the frame-pointer chain, which requires the
-// application to keep frame pointers (-fno-omit-frame-pointer) — each
-// step is guarded by a null/monotonicity check on the frame address, the
-// standard mitigation for a broken chain.
+// deeper levels follow the frame-pointer chain, which is only meaningful
+// when the application keeps frame pointers (-fno-omit-frame-pointer).
+// Code built without them keeps arbitrary data in the frame-pointer
+// register, so each link is followed only while it stays on this thread's
+// stack: strictly above the previous frame and below the stack top.
 
 std::size_t stack_depth_from_env() {
   const char* raw = std::getenv("CLA_STACK_DEPTH");
@@ -260,6 +268,48 @@ std::size_t stack_depth() {
   return depth;
 }
 
+// One past the highest address a frame of this thread may occupy; 0 until
+// known. start_trampoline records its own frame for the threads it starts
+// (everything they run is called from there); the main thread uses the
+// loader's stack end. Any other thread gets kNoStackTop, which stops every
+// walk at depth 1.
+constexpr std::uintptr_t kNoStackTop = 1;
+thread_local std::uintptr_t tls_stack_top = 0;
+
+std::uintptr_t stack_top() {
+  if (tls_stack_top == 0) {
+    const bool main_thread = syscall(SYS_gettid) == getpid();
+    tls_stack_top = main_thread && &__libc_stack_end != nullptr
+                        ? reinterpret_cast<std::uintptr_t>(__libc_stack_end)
+                        : kNoStackTop;
+  }
+  return tls_stack_top;
+}
+
+// Fills pcs[1..depth) from the frame chain above `frame` (the hook's own
+// frame) and returns the number of pcs held. A frame holds the caller's
+// frame address, then the return address. The slots read belong to code
+// this library did not compile and are not objects, so AddressSanitizer
+// does not check them.
+__attribute__((noinline, no_sanitize_address)) std::size_t walk_frame_chain(
+    std::uintptr_t frame, std::uint64_t* pcs, std::size_t depth) {
+  constexpr std::uintptr_t kFrameBytes = 2 * sizeof(std::uintptr_t);
+  const std::uintptr_t top = stack_top();
+  std::size_t captured = 1;
+  for (; captured < depth; ++captured) {
+    const std::uintptr_t next = *reinterpret_cast<const std::uintptr_t*>(frame);
+    if (next <= frame || next >= top || top - next < kFrameBytes ||
+        next % alignof(std::uintptr_t) != 0) {
+      break;
+    }
+    const std::uintptr_t pc = reinterpret_cast<const std::uintptr_t*>(next)[1];
+    if (pc == 0) break;
+    pcs[captured] = pc;
+    frame = next;
+  }
+  return captured;
+}
+
 // Captures up to `depth` return addresses of the calling application,
 // innermost first. always_inline so that, expanded inside an interposed
 // entry point, level 0 is the application's call site (the hook's own
@@ -271,26 +321,9 @@ __attribute__((always_inline)) inline std::size_t capture_stack(
   if (ra == nullptr) return 0;
   pcs[0] = reinterpret_cast<std::uint64_t>(ra);
   if (depth == 1) return 1;
-  void* prev_frame = __builtin_frame_address(0);
-#define CLA_FRAME(i)                                              \
-  {                                                               \
-    void* frame = __builtin_frame_address(i);                     \
-    if (frame == nullptr || frame <= prev_frame) return (i);      \
-    void* pc = __builtin_return_address(i);                       \
-    if (pc == nullptr) return (i);                                \
-    pcs[i] = reinterpret_cast<std::uint64_t>(pc);                 \
-    if (depth == (i) + 1) return (i) + 1;                         \
-    prev_frame = frame;                                           \
-  }
-  CLA_FRAME(1)
-  CLA_FRAME(2)
-  CLA_FRAME(3)
-  CLA_FRAME(4)
-  CLA_FRAME(5)
-  CLA_FRAME(6)
-  CLA_FRAME(7)
-#undef CLA_FRAME
-  return cla::trace::kMaxCallStackDepth;
+  return walk_frame_chain(
+      reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)), pcs,
+      depth);
 }
 
 // Per-thread intern cache in front of Recorder::register_call_stack: lock
@@ -423,6 +456,7 @@ struct StartPayload {
 void* start_trampoline(void* raw) {
   StartPayload payload = *static_cast<StartPayload*>(raw);
   delete static_cast<StartPayload*>(raw);
+  tls_stack_top = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
   {
     HookGuard guard;
     Recorder::instance().bind_current_thread(payload.tid, payload.parent);

@@ -2,17 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include "cla/analysis/segment_dag.hpp"
 #include "cla/trace/builder.hpp"
+#include "support/sequential_walk.hpp"
 
 namespace cla::analysis {
 namespace {
 
 using trace::TraceBuilder;
 
+// Walks `t` with both the sequential oracle and the segment-DAG walk,
+// checks that they agree, and returns the path for the case's own checks.
 CriticalPath walk(const trace::Trace& t) {
   const TraceIndex index(t);
-  const WakeupResolver resolver(index);
-  return compute_critical_path(index, resolver);
+  CriticalPath oracle = test_support::sequential_walk(index);
+  const SegmentDag dag = SegmentDag::build(index, nullptr);
+  test_support::expect_same_path(oracle, compute_critical_path(dag, nullptr),
+                                 "dag walk vs oracle");
+  return oracle;
 }
 
 TEST(CriticalPath, SingleThreadCoversWholeExecution) {

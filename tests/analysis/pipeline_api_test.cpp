@@ -1,12 +1,10 @@
 // Staged Pipeline API: stage-by-stage invocation, lazy prerequisites,
-// self-profiling, options aggregate compatibility, and the streaming load
-// stage.
+// self-profiling, the options aggregate, and the streaming load stage.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "support/analyze.hpp"
-#include "cla/analysis/analyzer.hpp"
 #include "cla/analysis/pipeline.hpp"
 #include "cla/trace/trace_io.hpp"
 #include "cla/util/error.hpp"
@@ -29,7 +27,7 @@ TEST(PipelineApi, StageByStageMatchesOneShotAnalyze) {
   pipeline.use_trace(trace);
   pipeline.validate_stage();
   pipeline.index_stage();
-  pipeline.resolve_stage();
+  pipeline.dag_stage();
   pipeline.walk_stage();
   pipeline.stats_stage();
   const AnalysisResult& staged = pipeline.result();
@@ -65,21 +63,6 @@ TEST(PipelineApi, ProfileRecordsEveryStageInOrder) {
        {"validate", "index", "builddag", "walk", "stats", "report", "total"}) {
     EXPECT_NE(rendered.find(name), std::string::npos) << name;
   }
-}
-
-TEST(PipelineApi, SequentialEngineProfilesAResolveStageInsteadOfBuildDag) {
-  Options options;
-  options.execution.walk = WalkEngine::Sequential;
-  const trace::Trace trace = micro_trace();
-  Pipeline pipeline(options);
-  pipeline.use_trace(trace);
-  (void)pipeline.result();
-  bool saw_resolve = false;
-  for (const auto& timing : pipeline.profile().stages) {
-    saw_resolve = saw_resolve || timing.stage == Stage::Resolve;
-    EXPECT_NE(timing.stage, Stage::BuildDag);
-  }
-  EXPECT_TRUE(saw_resolve);
 }
 
 TEST(PipelineApi, StagesRunAtMostOnce) {
@@ -138,22 +121,6 @@ TEST(PipelineApi, ExplicitValidateWinsOverDisabledOption) {
   Pipeline pipeline(options);
   pipeline.use_trace(std::move(empty));
   EXPECT_THROW(pipeline.validate_stage(), util::Error);
-}
-
-TEST(PipelineApi, DeprecatedAnalyzeShimStillMatchesThePipeline) {
-  // The retired one-shot surface must keep working (with a warning)
-  // for one release and agree with the Pipeline it now wraps.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  AnalyzeOptions legacy;
-  legacy.validate = false;
-  legacy.stats.worker_threads_only = false;
-  static_assert(std::is_same_v<AnalyzeOptions, Options>);
-  const trace::Trace trace = micro_trace();
-  const AnalysisResult shimmed = analyze(trace, legacy);
-#pragma GCC diagnostic pop
-  const AnalysisResult staged = test_support::analyze(trace, legacy);
-  EXPECT_EQ(render_json(shimmed), render_json(staged));
 }
 
 TEST(PipelineApi, OptionsAggregateCarriesPerStageSubStructs) {

@@ -14,8 +14,7 @@ TEST(Resolver, UncontendedAcquireDoesNotBlock) {
   b.thread(0).start(0).lock(9, 1, 1, 4).exit(10);
   const trace::Trace t = b.finish();
   const TraceIndex index(t);
-  const WakeupResolver resolver(index);
-  const Resolution& r = resolver.resolve(0, 2);  // MutexAcquired
+  const Resolution r = resolve_wakeup(index, 0, 2);  // MutexAcquired
   EXPECT_FALSE(r.blocked);
   EXPECT_FALSE(r.releaser.valid());
 }
@@ -26,8 +25,8 @@ TEST(Resolver, ContendedAcquireResolvesToPreviousHolder) {
   b.thread(1).start(0, trace::kNoThread).lock(9, 1, 5, 9).exit(20);
   const trace::Trace t = b.finish_unchecked();
   const TraceIndex index(t);
-  const WakeupResolver resolver(index);
-  const Resolution& r = resolver.resolve(1, 2);  // thread 1's MutexAcquired
+  // Thread 1's MutexAcquired.
+  const Resolution r = resolve_wakeup(index, 1, 2);
   EXPECT_TRUE(r.blocked);
   ASSERT_TRUE(r.releaser.valid());
   EXPECT_EQ(r.releaser.tid, 0u);
@@ -40,8 +39,7 @@ TEST(Resolver, FirstContendedAcquireWithoutPredecessorHasNoReleaser) {
   b.thread(0).start(0).lock(9, 1, 3, 5).exit(10);
   const trace::Trace t_owned = b.finish();
   const TraceIndex index(t_owned);
-  const WakeupResolver resolver(index);
-  const Resolution& r = resolver.resolve(0, 2);
+  const Resolution r = resolve_wakeup(index, 0, 2);
   EXPECT_TRUE(r.blocked);
   EXPECT_FALSE(r.releaser.valid());
 }
@@ -52,16 +50,15 @@ TEST(Resolver, BarrierBlockedThreadsResolveToLastArriver) {
   b.thread(1).start(0, trace::kNoThread).barrier(7, 6, 6, 0).exit(10);
   const trace::Trace t = b.finish_unchecked();
   const TraceIndex index(t);
-  const WakeupResolver resolver(index);
   // Thread 0 arrived at 2, left at 6 -> blocked, released by T1's arrival.
-  const Resolution& r0 = resolver.resolve(0, 2);  // BarrierLeave
+  const Resolution r0 = resolve_wakeup(index, 0, 2);  // BarrierLeave
   EXPECT_TRUE(r0.blocked);
   ASSERT_TRUE(r0.releaser.valid());
   EXPECT_EQ(r0.releaser.tid, 1u);
   EXPECT_EQ(t.thread_events(1)[r0.releaser.index].type,
             trace::EventType::BarrierArrive);
   // The last arriver itself never blocked.
-  const Resolution& r1 = resolver.resolve(1, 2);
+  const Resolution r1 = resolve_wakeup(index, 1, 2);
   EXPECT_FALSE(r1.blocked);
 }
 
@@ -71,13 +68,13 @@ TEST(Resolver, BarrierEpisodesResolveIndependently) {
   b.thread(1).start(0, trace::kNoThread).barrier(7, 6, 6, 0).barrier(7, 7, 8, 1).exit(12);
   const trace::Trace t = b.finish_unchecked();
   const TraceIndex index(t);
-  const WakeupResolver resolver(index);
   // Episode 1: thread 0 arrives last (8); thread 1 blocked.
-  const Resolution& r1 = resolver.resolve(1, 4);  // second BarrierLeave of T1
+  // The second BarrierLeave of T1.
+  const Resolution r1 = resolve_wakeup(index, 1, 4);
   EXPECT_TRUE(r1.blocked);
   ASSERT_TRUE(r1.releaser.valid());
   EXPECT_EQ(r1.releaser.tid, 0u);
-  const Resolution& r0 = resolver.resolve(0, 4);
+  const Resolution r0 = resolve_wakeup(index, 0, 4);
   EXPECT_FALSE(r0.blocked);
 }
 
@@ -90,9 +87,8 @@ TEST(Resolver, CondWaitResolvesToMatchingSignal) {
   b.thread(1).start(0, trace::kNoThread).cond_signal(8, 9).exit(11);
   const trace::Trace t = b.finish_unchecked();
   const TraceIndex index(t);
-  const WakeupResolver resolver(index);
   // CondWaitEnd is event index 5 of thread 0.
-  const Resolution& r = resolver.resolve(0, 5);
+  const Resolution r = resolve_wakeup(index, 0, 5);
   EXPECT_TRUE(r.blocked);
   ASSERT_TRUE(r.releaser.valid());
   EXPECT_EQ(r.releaser.tid, 1u);
@@ -114,8 +110,7 @@ TEST(Resolver, CondWaitPicksLatestSignalInsideWindow) {
       .exit(12);
   const trace::Trace t_owned = b.finish_unchecked();
   const TraceIndex index(t_owned);
-  const WakeupResolver resolver(index);
-  const Resolution& r = resolver.resolve(0, 5);
+  const Resolution r = resolve_wakeup(index, 0, 5);
   ASSERT_TRUE(r.releaser.valid());
   // index 2 = the t=8 signal (start, signal@4, signal@8, signal@11, exit)
   EXPECT_EQ(r.releaser.index, 2u);
@@ -131,8 +126,7 @@ TEST(Resolver, CondWaitIgnoresOwnThreadSignals) {
   b.thread(1).start(0, trace::kNoThread).cond_signal(8, 7).exit(11);
   const trace::Trace t_owned = b.finish_unchecked();
   const TraceIndex index(t_owned);
-  const WakeupResolver resolver(index);
-  const Resolution& r = resolver.resolve(0, 6);  // CondWaitEnd
+  const Resolution r = resolve_wakeup(index, 0, 6);  // CondWaitEnd
   ASSERT_TRUE(r.releaser.valid());
   EXPECT_EQ(r.releaser.tid, 1u);
 }
@@ -143,8 +137,7 @@ TEST(Resolver, JoinBlockedResolvesToTargetExit) {
   b.thread(1).start(0, 0).exit(8);
   const trace::Trace t = b.finish();
   const TraceIndex index(t);
-  const WakeupResolver resolver(index);
-  const Resolution& r = resolver.resolve(0, 3);  // JoinEnd
+  const Resolution r = resolve_wakeup(index, 0, 3);  // JoinEnd
   EXPECT_TRUE(r.blocked);
   ASSERT_TRUE(r.releaser.valid());
   EXPECT_EQ(r.releaser.tid, 1u);
@@ -158,8 +151,7 @@ TEST(Resolver, JoinOfAlreadyFinishedThreadDoesNotBlock) {
   b.thread(1).start(0, 0).exit(5);
   const trace::Trace t_owned = b.finish();
   const TraceIndex index(t_owned);
-  const WakeupResolver resolver(index);
-  const Resolution& r = resolver.resolve(0, 3);
+  const Resolution r = resolve_wakeup(index, 0, 3);
   EXPECT_FALSE(r.blocked);
 }
 
@@ -169,8 +161,7 @@ TEST(Resolver, ThreadStartResolvesToParentCreate) {
   b.thread(1).start(2, 0).exit(8);
   const trace::Trace t = b.finish();
   const TraceIndex index(t);
-  const WakeupResolver resolver(index);
-  const Resolution& r = resolver.resolve(1, 0);  // ThreadStart of T1
+  const Resolution r = resolve_wakeup(index, 1, 0);  // ThreadStart of T1
   EXPECT_TRUE(r.blocked);
   ASSERT_TRUE(r.releaser.valid());
   EXPECT_EQ(r.releaser.tid, 0u);
@@ -183,8 +174,7 @@ TEST(Resolver, InitialThreadStartHasNoReleaser) {
   b.thread(0).start(0).exit(10);
   const trace::Trace t_owned = b.finish();
   const TraceIndex index(t_owned);
-  const WakeupResolver resolver(index);
-  const Resolution& r = resolver.resolve(0, 0);
+  const Resolution r = resolve_wakeup(index, 0, 0);
   EXPECT_FALSE(r.blocked);
   EXPECT_FALSE(r.releaser.valid());
 }

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "cla/analysis/resolver.hpp"
 #include "cla/trace/builder.hpp"
+#include "support/sequential_walk.hpp"
 
 namespace cla::analysis {
 namespace {
@@ -26,12 +26,10 @@ class TimelineTest : public ::testing::Test {
   TimelineTest()
       : trace_(two_thread_trace()),
         index_(trace_),
-        resolver_(index_),
-        path_(compute_critical_path(index_, resolver_)) {}
+        path_(test_support::sequential_walk(index_)) {}
 
   trace::Trace trace_;
   TraceIndex index_;
-  WakeupResolver resolver_;
   CriticalPath path_;
 };
 
@@ -95,8 +93,7 @@ TEST_F(TimelineTest, ZeroDurationTraceRendersWithoutPainting) {
   b.thread(0).start(5).exit(5);
   const trace::Trace trace = b.finish();
   const TraceIndex index(trace);
-  WakeupResolver resolver(index);
-  const CriticalPath path = compute_critical_path(index, resolver);
+  const CriticalPath path = test_support::sequential_walk(index);
   const std::string text = render_timeline(index, path);
   EXPECT_NE(text.find("time range: [5, 5]"), std::string::npos);
   // Degenerate range: the lane exists but no glyph is painted in it.

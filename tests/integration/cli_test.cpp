@@ -273,6 +273,12 @@ TEST(CliExitCodes, FullContract) {
   run_command(tool("cla-analyze") + " " + clean_path + " --diagnostics=xml",
               rc);
   EXPECT_EQ(rc, 2);
+  // There is one walk engine, so the old --engine switch is an unknown flag.
+  const std::string engine_out = run_command(
+      tool("cla-analyze") + " " + clean_path + " --engine dag", rc);
+  EXPECT_EQ(rc, 2) << engine_out;
+  EXPECT_NE(engine_out.find("unknown option --engine"), std::string::npos)
+      << engine_out;
 
   // 3: lossy repair (semantic damage + --strictness=repair).
   const auto broken_path =
@@ -303,6 +309,7 @@ TEST(CliExitCodes, FullContract) {
   EXPECT_NE(help_out.find("exit codes:"), std::string::npos);
   EXPECT_NE(help_out.find("5 strict-mode validation failure"),
             std::string::npos);
+  EXPECT_EQ(help_out.find("--engine"), std::string::npos);
 
   std::remove(clean_path.c_str());
   std::remove(junk_path.c_str());

@@ -1,15 +1,16 @@
-// Parallel-analysis determinism: the sharded executor and the segment-DAG
-// walk must be pure performance changes. For every bundled workload, every
-// (engine, worker-count) combination must produce report output that is
-// byte-identical to the sequential single-threaded reference, and the
-// incremental analyzer fed the trace in halves must agree too.
+// Parallel-analysis determinism: the sharded executor, the segment-DAG
+// walk and the bounded-RSS engine must be pure performance changes. For
+// every bundled workload, the pipeline at every worker count, bounded or
+// not, must print a JSON report byte-identical to the test-side sequential
+// walk oracle's, and the incremental analyzer fed the trace in halves must
+// agree too.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "cla/core/cla.hpp"
-#include "support/analyze.hpp"
+#include "support/sequential_walk.hpp"
 #include "cla/analysis/incremental.hpp"
 #include "cla/util/rng.hpp"
 #include "cla/workloads/workload.hpp"
@@ -29,27 +30,25 @@ trace::Trace workload_trace(const char* name) {
 TEST_P(DeterminismTest, DagWalkIsByteIdenticalToSequentialAtAnyWorkerCount) {
   const trace::Trace trace = workload_trace(GetParam());
 
-  // Reference: sequential resolver walk, single analysis thread.
-  Options reference_options;
-  reference_options.execution.walk = analysis::WalkEngine::Sequential;
-  reference_options.execution.num_threads = 1;
-  Pipeline reference(reference_options);
-  reference.use_trace(trace);
-  const std::string expected = reference.report_json();
+  // Reference: the test-side sequential walk oracle.
+  const std::string expected = test_support::sequential_report_json(trace);
 
-  for (const analysis::WalkEngine engine :
-       {analysis::WalkEngine::Sequential, analysis::WalkEngine::Dag}) {
-    for (unsigned workers : {1u, 2u, 8u}) {
-      Options options;
-      options.execution.walk = engine;
-      options.execution.num_threads = workers;
-      Pipeline pipeline(options);
-      pipeline.use_trace(trace);
-      EXPECT_EQ(pipeline.report_json(), expected)
-          << GetParam() << " with "
-          << (engine == analysis::WalkEngine::Dag ? "dag" : "sequential")
-          << " walk and " << workers << " analysis threads";
-    }
+  for (unsigned workers : {1u, 2u, 8u}) {
+    Options options;
+    options.execution.num_threads = workers;
+    Pipeline pipeline(options);
+    pipeline.use_trace(trace);
+    EXPECT_EQ(pipeline.report_json(), expected)
+        << GetParam() << " with " << workers << " analysis threads";
+  }
+  for (unsigned workers : {1u, 4u}) {
+    Options options;
+    options.execution.num_threads = workers;
+    options.limits.max_rss_mb = 4096;  // generous: routing, not pressure
+    Pipeline pipeline(options);
+    pipeline.use_trace(trace);
+    EXPECT_EQ(pipeline.report_json(), expected)
+        << GetParam() << " bounded with " << workers << " analysis threads";
   }
 }
 

@@ -3,6 +3,10 @@
 // section sizes, plus a barrier — enough structure for the analyzer to
 // find a critical lock.
 //
+// Invoked with the argument "hashing" it instead runs hashing_worker,
+// whose lock calls keep only large 64-bit values live; the test build of
+// that mode omits frame pointers (see hashing_worker).
+//
 // Invoked with the argument "errorcheck" it instead exercises every
 // pthread_mutex_* error path on a PTHREAD_MUTEX_ERRORCHECK mutex, so the
 // interposer's only-record-on-success rule has a regression scenario:
@@ -12,6 +16,7 @@
 #include <pthread.h>
 #include <time.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -45,7 +50,36 @@ extern "C" void* demo_worker(void*) {
   return nullptr;
 }
 
+// Lock calls with only large 64-bit values live across them: a key
+// counted up from 0xff00... and an FNV-1a hash. Built with
+// -fomit-frame-pointer, the compiler keeps one of them in the
+// frame-pointer register, so a stack walk that takes that register for a
+// frame address would read far outside the stack.
+extern "C" void* hashing_worker(void*) {
+  constexpr std::uint64_t kFirstKey = 0xff00000000000000ull;
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (std::uint64_t key = kFirstKey; key != kFirstKey + 200; ++key) {
+    pthread_mutex_lock(&g_small);
+    hash = (hash ^ key) * 0x100000001b3ull;
+    pthread_mutex_unlock(&g_small);
+  }
+  g_counter = g_counter + static_cast<long>(hash & 1);
+  return nullptr;
+}
+
 namespace {
+
+int run_hashing() {
+  constexpr int kThreads = 4;
+  pthread_t threads[kThreads];
+  for (auto& thread : threads) {
+    pthread_create(&thread, nullptr, &hashing_worker, nullptr);
+  }
+  for (auto& thread : threads) pthread_join(thread, nullptr);
+  hashing_worker(nullptr);  // the main thread walks its stack too
+  std::printf("hashing ok\n");
+  return 0;
+}
 
 int run_errorcheck() {
   pthread_mutexattr_t attr;
@@ -79,6 +113,7 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "errorcheck") == 0) {
     return run_errorcheck();
   }
+  if (argc > 1 && std::strcmp(argv[1], "hashing") == 0) return run_hashing();
   constexpr int kThreads = 4;
   pthread_barrier_init(&g_barrier, nullptr, kThreads);
   pthread_t threads[kThreads];

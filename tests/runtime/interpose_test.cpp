@@ -30,11 +30,11 @@ class InterposeTest : public ::testing::Test {
   void TearDown() override { std::remove(trace_path_.c_str()); }
 
   int run_demo(const std::string& mode = "",
-               const std::string& extra_env = "") const {
+               const std::string& extra_env = "",
+               const char* app = CLA_DEMO_APP) const {
     const std::string command = extra_env + " CLA_TRACE_FILE=" + trace_path_ +
-                                " LD_PRELOAD=" CLA_INTERPOSE_LIB
-                                " " CLA_DEMO_APP " " +
-                                mode + " > /dev/null 2>&1";
+                                " LD_PRELOAD=" CLA_INTERPOSE_LIB " " + app +
+                                " " + mode + " > /dev/null 2>&1";
     return std::system(command.c_str());
   }
 
@@ -234,6 +234,24 @@ TEST_F(InterposeTest, StackDepthCapturesSymbolizedCallsites) {
     }
     EXPECT_LE(callsite_cp, lock.cp_hold_time);
   }
+}
+
+TEST_F(InterposeTest, StackDepthSurvivesAppWithoutFramePointers) {
+  // The app keeps 0xff00... keys in the frame-pointer register across its
+  // lock calls; the capture must stop at that link instead of reading it.
+  ASSERT_EQ(run_demo("hashing", "CLA_STACK_DEPTH=8", CLA_DEMO_APP_NOFP), 0);
+  const cla::trace::Trace trace = cla::trace::read_trace_file(trace_path_);
+  EXPECT_NO_THROW(trace.validate());
+  ASSERT_FALSE(trace.call_stacks().empty());
+  const auto result = cla::test_support::analyze(trace);
+  ASSERT_FALSE(result.callsites.empty());
+  bool named_frame = false;
+  for (const auto& cs : result.callsites) {
+    for (const std::string& frame : cs.frames) {
+      if (frame.find("hashing_worker") != std::string::npos) named_frame = true;
+    }
+  }
+  EXPECT_TRUE(named_frame);
 }
 
 TEST_F(InterposeTest, StackCaptureIsOffByDefault) {

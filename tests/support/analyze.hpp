@@ -1,9 +1,6 @@
-// Test-local one-shot analysis helper.
-//
-// The public one-shot cla::analyze() is deprecated in favour of the
-// staged cla::analysis::Pipeline (see README "Migrating from analyze()").
-// The test suites still want the old one-liner ergonomics, so this
-// header provides it on top of the supported API.
+// Test-local one-shot analysis helper: runs a trace through the staged
+// cla::analysis::Pipeline and returns the result, for suites that only
+// want the statistics in one line.
 #pragma once
 
 #include "cla/analysis/pipeline.hpp"

@@ -43,9 +43,6 @@ void print_usage(std::FILE* out, const char* prog) {
       "options:\n"
       "  --threads N     worker threads for the index/builddag/walk/stats\n"
       "                  stages (default 1 = sequential, 0 = one per core)\n"
-      "  --engine E      critical-path walk engine: dag (segment-DAG\n"
-      "                  speculative walk; default) | sequential (the\n"
-      "                  reference backward walk; reports are identical)\n"
       "  --max-rss-mb N  bound the analysis working set to ~N MiB by\n"
       "                  routing through the streaming engine (exit 4 if\n"
       "                  the bound cannot be met)\n"
@@ -185,7 +182,7 @@ int main(int argc, char** argv) {
     cla::util::Args args(argc, argv,
                          {"top", "json", "csv", "report", "timeline", "whatif",
                           "phase",
-                          "threads", "engine", "max-rss-mb", "profile",
+                          "threads", "max-rss-mb", "profile",
                           "salvage", "strictness", "deadline-ms",
                           "max-events", "diagnostics", "convert", "format",
                           "agg-store", "agg-run-id", "agg-host", "agg-label",
@@ -226,16 +223,6 @@ int main(int argc, char** argv) {
     cla::Options options;
     options.execution.num_threads =
         static_cast<unsigned>(args.get_int("threads", 1));
-    if (const auto engine = args.get("engine")) {
-      if (*engine == "dag") {
-        options.execution.walk = cla::analysis::WalkEngine::Dag;
-      } else if (*engine == "sequential") {
-        options.execution.walk = cla::analysis::WalkEngine::Sequential;
-      } else {
-        throw cla::util::ArgsError("invalid --engine value '" + *engine +
-                                   "' (expected dag or sequential)");
-      }
-    }
     const std::int64_t max_rss_mb = args.get_int("max-rss-mb", 0);
     if (max_rss_mb < 0) {
       throw cla::util::ArgsError("--max-rss-mb must be non-negative");
