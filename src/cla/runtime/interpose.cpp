@@ -293,18 +293,19 @@ std::uintptr_t stack_top() {
 // does not check them.
 __attribute__((noinline, no_sanitize_address)) std::size_t walk_frame_chain(
     std::uintptr_t frame, std::uint64_t* pcs, std::size_t depth) {
-  constexpr std::uintptr_t kFrameBytes = 2 * sizeof(std::uintptr_t);
+  constexpr std::uintptr_t kFrameBytes = 2 * sizeof(void*);
   const std::uintptr_t top = stack_top();
   std::size_t captured = 1;
   for (; captured < depth; ++captured) {
-    const std::uintptr_t next = *reinterpret_cast<const std::uintptr_t*>(frame);
+    const auto next = reinterpret_cast<std::uintptr_t>(
+        reinterpret_cast<void* const*>(frame)[0]);
     if (next <= frame || next >= top || top - next < kFrameBytes ||
-        next % alignof(std::uintptr_t) != 0) {
+        next % alignof(void*) != 0) {
       break;
     }
-    const std::uintptr_t pc = reinterpret_cast<const std::uintptr_t*>(next)[1];
-    if (pc == 0) break;
-    pcs[captured] = pc;
+    void* pc = reinterpret_cast<void* const*>(next)[1];
+    if (pc == nullptr) break;
+    pcs[captured] = reinterpret_cast<std::uint64_t>(pc);
     frame = next;
   }
   return captured;
