@@ -31,13 +31,6 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
     const ThreadInfo& info = index.threads()[tid];
     tally.threads.push_back({info.duration(), info.sync_ops});
   }
-  const auto run = [pool](std::size_t count, const auto& task) {
-    if (pool != nullptr) {
-      pool->parallel_for(count, task);
-    } else {
-      for (std::size_t k = 0; k < count; ++k) task(k);
-    }
-  };
 
   // One task per lock: the path overlap of every section is the costly
   // part. The slots are inserted up front, so each task writes only its
@@ -46,7 +39,7 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
   for (const auto& [id, mi] : index.mutexes()) {
     locks.emplace_back(&mi, &tally.locks[id]);
   }
-  run(locks.size(), [&](std::size_t k) {
+  const auto tally_lock = [&](std::size_t k) {
     std::vector<LockThreadTally> by_thread(t.thread_count());
     for (const CsRecord& cs : locks[k].first->sections) {
       tally_section(by_thread[cs.tid], cs,
@@ -56,27 +49,26 @@ AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
       if (by_thread[tid].sections.invocations == 0) continue;
       locks[k].second->emplace_back(tid, std::move(by_thread[tid]));
     }
-  });
-
-  // Barriers: same fan-out shape.
-  std::vector<std::pair<const BarrierIndex*, StatsTally::Barrier*>> barriers;
-  for (const auto& [id, bi] : index.barriers()) {
-    barriers.emplace_back(&bi, &tally.barriers[id]);
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(locks.size(), tally_lock);
+  } else {
+    for (std::size_t k = 0; k < locks.size(); ++k) tally_lock(k);
   }
-  run(barriers.size(), [&](std::size_t k) {
-    const BarrierIndex& bi = *barriers[k].first;
+
+  for (const auto& [id, bi] : index.barriers()) {
     std::vector<WaitTally> by_thread(t.thread_count());
     for (const BarrierWaitRecord& w : bi.waits) {
       ++by_thread[w.tid].waits;
       by_thread[w.tid].wait += w.leave_ts - w.arrive_ts;
     }
-    StatsTally::Barrier& out = *barriers[k].second;
+    StatsTally::Barrier& out = tally.barriers[id];
     out.episodes = bi.episodes.size();
     for (trace::ThreadId tid = 0; tid < by_thread.size(); ++tid) {
       if (by_thread[tid].waits == 0) continue;
       out.threads.emplace_back(tid, by_thread[tid]);
     }
-  });
+  }
 
   for (const auto& [id, ci] : index.conds()) {
     StatsTally::Cond& out = tally.conds[id];

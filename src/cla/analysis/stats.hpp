@@ -140,11 +140,11 @@ struct AnalysisResult {
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
                              const StatsOptions& options = {});
 
-/// Pooled variant: the per-lock and per-barrier tallies (TYPE 2 plus the
-/// TYPE 1 path overlaps) fan out across `pool`, one task per primitive,
-/// each writing only its own slot, so the result — including the final
-/// ranking — is bit-identical to the sequential computation. A null pool
-/// (or a pool of size 1) runs inline.
+/// Pooled variant: the per-lock tallies (TYPE 2 plus the TYPE 1 path
+/// overlaps) fan out across `pool`, one task per lock, each writing only
+/// its own slot, so the result — including the final ranking — is
+/// bit-identical to the sequential computation. A null pool (or a pool of
+/// size 1) runs inline.
 AnalysisResult compute_stats(const TraceIndex& index, CriticalPath path,
                              const StatsOptions& options,
                              util::ThreadPool* pool);

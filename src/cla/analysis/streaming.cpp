@@ -652,7 +652,8 @@ ThreadAgg rescan_thread(const trace::TraceView& view, trace::ThreadId tid,
 
   const auto drain = [&](bool final_pass) {
     for (auto& [object, secs] : state.sections) {
-      LockThreadTally& lt = agg.locks[object];  // keeps empty keys
+      // Keys with no closed section yet stay, as they do in the index.
+      LockThreadTally& lt = agg.locks[object];
       auto keep = secs.begin();
       for (auto& cs : secs) {
         if (cs.released_ts == ThreadScanState::kUnreleasedTs) {
