@@ -166,7 +166,7 @@ class Pipeline {
   Pipeline& dag_stage();
   /// Backward critical-path construction over the segment DAG.
   Pipeline& walk_stage();
-  /// TYPE 1 / TYPE 2 statistics (parallel across locks/barriers). With a
+  /// TYPE 1 / TYPE 2 statistics (parallel across locks). With a
   /// non-zero limits.max_rss_mb this instead runs the bounded-RSS
   /// streaming engine end to end (sweep + DAG + walk + stats).
   Pipeline& stats_stage();
