@@ -111,7 +111,10 @@ CriticalPath compute_critical_path(const SegmentDag& dag,
       }
       path.jumps.push_back(
           PathJump{EventRef{tid, s.begin_idx}, s.jump_to, s.kind, s.object});
-      cur_time = std::min(cur_time, s.jump_ts);
+      // Clamped to the wake-up too: a releaser may be timestamped after
+      // the waiter woke (the interposer records a release after the real
+      // unlock), and its interval must not re-cover the waiter's.
+      cur_time = std::min({cur_time, s.begin_ts, s.jump_ts});
       tid = s.jump_to.tid;
       local = s.jump_seg;
       continue;

@@ -46,8 +46,9 @@ class IncrementalAnalyzer {
   IncrementalAnalyzer& operator=(const IncrementalAnalyzer&) = delete;
 
   /// Appends a chunk of trace: per-thread event spans (each sorted by
-  /// timestamp and extending that thread's stream) plus any new names.
-  /// Cheap — analysis happens lazily in result().
+  /// timestamp and extending that thread's stream) plus its side tables,
+  /// merged by TraceTables::merge. Cheap — analysis happens lazily in
+  /// result().
   void append(const trace::Trace& chunk);
 
   /// The analysis of everything appended so far. Re-resolves only the

@@ -91,19 +91,19 @@ bool MonitorCore::step() {
     switch (status) {
       case trace::TraceTailer::PollStatus::Progress: {
         any_progress = true;
-        if (delta.events > 0) {
-          try {
-            source.analyzer->append(delta.chunk);
-            state.events += delta.events;
-            state.total_events += delta.events;
-          } catch (const util::Error& e) {
-            // A hostile delta (e.g. resync glued two generations together
-            // and timestamps rewound) must not kill the monitor: shed the
-            // window and start clean from this delta's successor.
-            state.last_error = e.what();
-            ++state.windows_shed;
-            reset_analyzer(i);
-          }
+        // Appended even without events: side-table chunks (frame symbols
+        // at clean close, late names) can arrive on their own.
+        try {
+          source.analyzer->append(delta.chunk);
+          state.events += delta.events;
+          state.total_events += delta.events;
+        } catch (const util::Error& e) {
+          // A hostile delta (e.g. resync glued two generations together
+          // and timestamps rewound) must not kill the monitor: shed the
+          // window and start clean from this delta's successor.
+          state.last_error = e.what();
+          ++state.windows_shed;
+          reset_analyzer(i);
         }
         state.dropped_events =
             source.dropped_base + source.tailer.dropped_events();

@@ -165,21 +165,9 @@ Pipeline& Pipeline::load_stream(std::istream& in) {
       loaded.append_thread_events(block->tid, {buffer.data(), n});
     }
   }
-  // Names and the dropped-event count can trail the event chunks in v2
-  // files, so they are applied only after the stream is drained.
-  for (const auto& [object, name] : reader.object_names()) {
-    loaded.set_object_name(object, name);
-  }
-  for (const auto& [tid, name] : reader.thread_names()) {
-    loaded.set_thread_name(tid, name);
-  }
-  loaded.set_dropped_events(reader.dropped_events());
-  for (const auto& [id, pcs] : reader.call_stacks()) {
-    loaded.set_call_stack(id, pcs);
-  }
-  for (const auto& [pc, name] : reader.frame_symbols()) {
-    loaded.set_frame_symbol(pc, name);
-  }
+  // The side tables can trail the event chunks in v2 files, so they are
+  // applied only after the stream is drained.
+  loaded.tables() = reader.tables();
   owned_trace_ = std::move(loaded);
   trace_ = &*owned_trace_;
   adopt_trace_storage();

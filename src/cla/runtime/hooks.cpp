@@ -1,5 +1,6 @@
 #include "cla/runtime/hooks.hpp"
 
+#include <atomic>
 #include <cerrno>
 #include <thread>
 #include <vector>
@@ -108,20 +109,28 @@ void run_instrumented_threads(std::uint32_t thread_count,
     trace::ThreadId tid;
     std::thread thread;
   };
+  // Untraced start gate: bodies begin only after every worker exists and
+  // the coordinator has recorded its first JoinBegin. Without it, a
+  // coordinator descheduled between ThreadCreate and JoinBegin finds every
+  // worker already gone, no join blocks, and the critical path never
+  // leaves the coordinator.
+  std::atomic<bool> started{false};
   std::vector<Worker> workers;
   workers.reserve(thread_count);
   for (std::uint32_t i = 0; i < thread_count; ++i) {
     const trace::ThreadId child = recorder.allocate_thread();
     recorder.record(EventType::ThreadCreate, static_cast<trace::ObjectId>(child));
     workers.push_back(Worker{
-        child, std::thread([&recorder, &body, child, parent, i] {
+        child, std::thread([&recorder, &body, &started, child, parent, i] {
           recorder.bind_current_thread(child, parent);
+          started.wait(false);
           body(i);
           recorder.thread_exit();
         })});
   }
   for (auto& worker : workers) {
     recorder.record(EventType::JoinBegin, static_cast<trace::ObjectId>(worker.tid));
+    if (!started.exchange(true)) started.notify_all();
     worker.thread.join();
     recorder.record(EventType::JoinEnd, static_cast<trace::ObjectId>(worker.tid));
   }

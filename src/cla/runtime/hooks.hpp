@@ -98,7 +98,8 @@ void phase_end();
 
 /// Runs `body` on `thread_count` instrumented pthreads: the calling thread
 /// becomes the coordinator (records creates/joins), each worker records
-/// start/exit. `body(worker_index)` is the worker function.
+/// start/exit. `body(worker_index)` is the worker function; it starts once
+/// every worker exists and the coordinator is joining.
 void run_instrumented_threads(std::uint32_t thread_count,
                               const std::function<void(std::uint32_t)>& body);
 

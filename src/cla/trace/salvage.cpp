@@ -5,14 +5,11 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <map>
-#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "cla/trace/trace_io.hpp"
 #include "cla/trace/validate.hpp"
-#include "cla/util/crc32.hpp"
 #include "cla/util/error.hpp"
 
 namespace cla::trace {
@@ -113,43 +110,13 @@ std::size_t find_chunk_magic(const BufReader& in, std::size_t from) {
 }
 
 void salvage_v2(BufReader& in, Trace& trace, SalvageReport& report) {
+  std::vector<Event> events;
   while (in.pos < in.size) {
-    // Locate a plausible chunk header; resync past corruption.
-    if (in.remaining() < 16 ||
-        std::memcmp(in.data + in.pos, kChunkMagic, 4) != 0) {
-      const std::size_t next = find_chunk_magic(in, in.pos + 1);
-      ++report.chunks_dropped;
-      if (next == std::string::npos) {
-        report.torn_tail = true;
-        report.bytes_dropped += in.remaining();
-        return;
-      }
-      report.bytes_dropped += next - in.pos;
-      in.pos = next;
-      continue;
-    }
-
     const std::size_t chunk_start = in.pos;
-    std::uint32_t kind = 0, payload_bytes = 0, crc = 0;
-    in.pos += 4;  // magic
-    in.try_get(kind);
-    in.try_get(payload_bytes);
-    in.try_get(crc);
-    if (payload_bytes > kMaxChunkPayload) {
-      // Corrupt size field: this "header" is garbage; resync after it.
-      in.pos = chunk_start + 4;
-      ++report.chunks_dropped;
-      const std::size_t next = find_chunk_magic(in, in.pos);
-      report.bytes_dropped += (next == std::string::npos ? in.size : next) - chunk_start;
-      if (next == std::string::npos) {
-        report.torn_tail = true;
-        in.pos = in.size;
-        return;
-      }
-      in.pos = next;
-      continue;
-    }
-    if (in.remaining() < payload_bytes) {
+    ChunkHeader header;
+    const bool framed = in.remaining() >= kChunkHeaderBytes &&
+                        parse_chunk_header(in.data + in.pos, header);
+    if (framed && in.remaining() - kChunkHeaderBytes < header.payload_bytes) {
       // Torn tail: the final chunk was cut mid-write.
       report.torn_tail = true;
       ++report.chunks_dropped;
@@ -157,13 +124,17 @@ void salvage_v2(BufReader& in, Trace& trace, SalvageReport& report) {
       in.pos = in.size;
       return;
     }
-    const char* payload = in.data + in.pos;
-    if (util::crc32(payload, payload_bytes) != crc) {
-      // Checksum failure: drop this chunk and resync just past its magic
-      // (its size field is untrustworthy).
+    const DecodedChunk chunk =
+        framed ? decode_chunk(header, in.data + in.pos + kChunkHeaderBytes,
+                              trace.tables())
+               : DecodedChunk{};
+    if (!framed || chunk.status == ChunkStatus::BadCrc) {
+      // Garbage header or checksum failure: the size field is
+      // untrustworthy, so drop the bytes up to the next chunk magic.
       ++report.chunks_dropped;
-      const std::size_t next = find_chunk_magic(in, chunk_start + 4);
-      report.bytes_dropped += (next == std::string::npos ? in.size : next) - chunk_start;
+      const std::size_t next = find_chunk_magic(in, chunk_start + 1);
+      report.bytes_dropped +=
+          (next == std::string::npos ? in.size : next) - chunk_start;
       if (next == std::string::npos) {
         report.torn_tail = true;
         in.pos = in.size;
@@ -172,116 +143,26 @@ void salvage_v2(BufReader& in, Trace& trace, SalvageReport& report) {
       in.pos = next;
       continue;
     }
-    in.pos += payload_bytes;
+    in.pos += kChunkHeaderBytes + header.payload_bytes;
 
-    BufReader body{payload, payload_bytes};
-    bool intact = true;
-    switch (static_cast<ChunkKind>(kind)) {
-      case ChunkKind::ObjectNames: {
-        std::uint32_t count = 0;
-        intact = body.try_get(count);
-        for (std::uint32_t i = 0; intact && i < count; ++i) {
-          ObjectId object;
-          std::string name;
-          intact = body.try_get(object) && body.try_get_string(name);
-          if (intact) trace.set_object_name(object, std::move(name));
-        }
-        break;
+    bool intact = chunk.status != ChunkStatus::Malformed;
+    report.clean_close = report.clean_close || chunk.clean_close;
+    if (chunk.status == ChunkStatus::Events) {
+      // The CRC already passed, so a v3 decode failure means a writer
+      // bug, not a torn file — but salvage stays fail-soft either way
+      // and just drops the chunk.
+      events.resize(chunk.events.count);
+      intact = decode_events(chunk.events, events.data());
+      if (intact) {
+        trace.append_thread_events(chunk.events.tid, events);
+        report.events_recovered += chunk.events.count;
       }
-      case ChunkKind::ThreadNames: {
-        std::uint32_t count = 0;
-        intact = body.try_get(count);
-        for (std::uint32_t i = 0; intact && i < count; ++i) {
-          ThreadId tid;
-          std::string name;
-          intact = body.try_get(tid) && body.try_get_string(name);
-          if (intact) trace.set_thread_name(tid, std::move(name));
-        }
-        break;
-      }
-      case ChunkKind::Events: {
-        ThreadId tid = 0;
-        std::uint32_t count = 0;
-        intact = body.try_get(tid) && body.try_get(count) && tid <= (1u << 20) &&
-                 body.remaining() == count * sizeof(Event);
-        if (intact) {
-          std::vector<Event> events(count);
-          body.try_get_bytes(events.data(), count * sizeof(Event));
-          trace.append_thread_events(tid, events);
-          report.events_recovered += count;
-        }
-        break;
-      }
-      case ChunkKind::EventsV3: {
-        ThreadId tid = 0;
-        std::uint32_t count = 0;
-        intact = peek_events_v3(payload, payload_bytes, tid, count);
-        if (intact) {
-          // The CRC already passed, so a decode failure means a writer
-          // bug, not a torn file — but salvage stays fail-soft either way
-          // and just drops the chunk.
-          std::vector<Event> events(count);
-          intact = decode_events_v3(payload, payload_bytes, events.data());
-          if (intact) {
-            trace.append_thread_events(tid, events);
-            report.events_recovered += count;
-          }
-        }
-        break;
-      }
-      case ChunkKind::Meta: {
-        std::uint32_t flags = 0;
-        intact = body.try_get(report.runtime_dropped_events) &&
-                 body.try_get(flags);
-        if (intact && (flags & kMetaFlagCleanClose)) report.clean_close = true;
-        break;
-      }
-      case ChunkKind::CallStacks: {
-        std::uint32_t count = 0;
-        intact = body.try_get(count);
-        for (std::uint32_t i = 0; intact && i < count; ++i) {
-          std::uint64_t id = 0;
-          std::uint32_t depth = 0;
-          intact = body.try_get(id) && body.try_get(depth) &&
-                   depth <= kMaxCallStackDepth;
-          if (!intact) break;
-          std::vector<std::uint64_t> pcs(depth);
-          for (std::uint32_t f = 0; intact && f < depth; ++f) {
-            intact = body.try_get(pcs[f]);
-          }
-          if (intact) trace.set_call_stack(id, std::move(pcs));
-        }
-        break;
-      }
-      case ChunkKind::FrameSymbols: {
-        std::uint32_t count = 0;
-        intact = body.try_get(count);
-        for (std::uint32_t i = 0; intact && i < count; ++i) {
-          std::uint64_t pc = 0;
-          std::string name;
-          intact = body.try_get(pc) && body.try_get_string(name);
-          if (intact) trace.set_frame_symbol(pc, std::move(name));
-        }
-        break;
-      }
-      case ChunkKind::RuntimeWarnings: {
-        std::uint32_t count = 0;
-        intact = body.try_get(count) && body.remaining() == count * 12ull;
-        for (std::uint32_t i = 0; intact && i < count; ++i) {
-          RuntimeWarning w;
-          intact = body.try_get(w.code) && body.try_get(w.value);
-          if (intact && w.code != 0) trace.set_runtime_warning(w.code, w.value);
-        }
-        break;
-      }
-      default:
-        break;  // unknown kind, CRC was valid: skip silently
     }
     if (intact) {
       ++report.chunks_recovered;
     } else {
       ++report.chunks_dropped;
-      report.bytes_dropped += 16 + payload_bytes;
+      report.bytes_dropped += kChunkHeaderBytes + header.payload_bytes;
     }
   }
 }
@@ -324,7 +205,7 @@ SalvageResult salvage_trace(std::istream& in) {
   }
   CLA_CHECK(out.report.events_recovered > 0,
             "nothing to salvage: no intact events in trace");
-  out.trace.set_dropped_events(out.report.runtime_dropped_events);
+  out.report.runtime_dropped_events = out.trace.dropped_events();
   repair_trace(out.trace, out.report);
   return out;
 }

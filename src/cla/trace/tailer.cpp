@@ -10,14 +10,12 @@
 #include <cstring>
 
 #include "cla/trace/trace_io.hpp"
-#include "cla/util/crc32.hpp"
 #include "cla/util/faultinject.hpp"
 
 namespace cla::trace {
 
 namespace {
 
-constexpr std::size_t kChunkHeaderBytes = 16;
 // Bytes scanned per resync step while hunting for the next chunk magic.
 constexpr std::size_t kResyncWindow = 64 * 1024;
 // Read-retry ladder for transient errors (EIO, EAGAIN): 4 attempts with
@@ -39,18 +37,16 @@ std::uint64_t monotonic_ns() noexcept {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
+// The chunks the streaming writer rewrites in place.
+bool is_inplace_kind(std::uint32_t kind) noexcept {
+  return kind == static_cast<std::uint32_t>(ChunkKind::Meta) ||
+         kind == static_cast<std::uint32_t>(ChunkKind::RuntimeWarnings);
+}
+
 void backoff_sleep_ms(std::uint64_t ms) noexcept {
   struct timespec ts{static_cast<time_t>(ms / 1000),
                      static_cast<long>(ms % 1000) * 1'000'000};
   ::nanosleep(&ts, nullptr);
-}
-
-template <typename T>
-bool read_pod(const std::vector<unsigned char>& buf, std::size_t& pos, T& out) {
-  if (buf.size() - pos < sizeof(T) || pos > buf.size()) return false;
-  std::memcpy(&out, buf.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return true;
 }
 
 }  // namespace
@@ -132,160 +128,72 @@ bool TraceTailer::deadline_hit(std::uint64_t start_ns) const {
   return monotonic_ns() - start_ns >= options_.poll_deadline_ms * 1'000'000ull;
 }
 
-// Applies one CRC-valid chunk to the delta. Returns true when the chunk
-// changed anything the caller should report as progress. CRC-valid but
-// structurally malformed chunks are ignored (the writer never produces
-// them; a fuzzer might).
-bool TraceTailer::consume_chunk(std::uint32_t kind,
-                                const std::vector<unsigned char>& payload,
-                                Delta& delta) {
-  std::size_t pos = 0;
-  switch (static_cast<ChunkKind>(kind)) {
-    case ChunkKind::Events: {
-      std::uint32_t tid = 0;
-      std::uint32_t count = 0;
-      if (!read_pod(payload, pos, tid) || !read_pod(payload, pos, count)) {
-        return false;
-      }
-      if (tid > (1u << 20) ||
-          payload.size() - pos != static_cast<std::size_t>(count) * sizeof(Event)) {
-        return false;
-      }
-      if (count == 0) return false;
-      event_buf_.resize(count);
-      std::memcpy(event_buf_.data(), payload.data() + pos,
-                  static_cast<std::size_t>(count) * sizeof(Event));
-      delta.chunk.append_thread_events(tid, {event_buf_.data(), count});
-      delta.events += count;
-      return true;
-    }
-    case ChunkKind::EventsV3: {
-      ThreadId tid = 0;
-      std::uint32_t count = 0;
-      if (!peek_events_v3(payload.data(), payload.size(), tid, count) ||
-          count == 0) {
-        return false;
-      }
-      event_buf_.resize(count);
-      if (!decode_events_v3(payload.data(), payload.size(),
-                            event_buf_.data())) {
-        return false;
-      }
-      delta.chunk.append_thread_events(tid, {event_buf_.data(), count});
-      delta.events += count;
-      return true;
-    }
-    case ChunkKind::ObjectNames: {
-      std::uint32_t count = 0;
-      if (!read_pod(payload, pos, count) || count > (1u << 20)) return false;
-      bool changed = false;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        ObjectId object = 0;
-        std::uint32_t len = 0;
-        if (!read_pod(payload, pos, object) || !read_pod(payload, pos, len) ||
-            payload.size() - pos < len) {
-          return changed;
-        }
-        delta.chunk.set_object_name(
-            object, std::string(reinterpret_cast<const char*>(payload.data()) + pos,
-                                len));
-        pos += len;
-        changed = true;
-      }
-      return changed;
-    }
-    case ChunkKind::ThreadNames: {
-      std::uint32_t count = 0;
-      if (!read_pod(payload, pos, count) || count > (1u << 20)) return false;
-      bool changed = false;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        ThreadId tid = 0;
-        std::uint32_t len = 0;
-        if (!read_pod(payload, pos, tid) || !read_pod(payload, pos, len) ||
-            payload.size() - pos < len) {
-          return changed;
-        }
-        delta.chunk.set_thread_name(
-            tid, std::string(reinterpret_cast<const char*>(payload.data()) + pos,
-                             len));
-        pos += len;
-        changed = true;
-      }
-      return changed;
-    }
-    case ChunkKind::Meta: {
-      std::uint64_t dropped = 0;
-      std::uint32_t flags = 0;
-      if (!read_pod(payload, pos, dropped) || !read_pod(payload, pos, flags)) {
-        return false;
-      }
-      bool changed = false;
-      if (dropped > dropped_events_) {
-        delta.dropped_delta += dropped - dropped_events_;
-        dropped_events_ = dropped;
-        changed = true;
-      }
-      if ((flags & kMetaFlagCleanClose) != 0 && !clean_close_) {
-        clean_close_ = true;
-        delta.clean_close = true;
-        changed = true;
-      }
-      return changed;
-    }
-    case ChunkKind::RuntimeWarnings: {
-      std::uint32_t count = 0;
-      if (!read_pod(payload, pos, count) || count > 1024) return false;
-      bool changed = false;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        std::uint32_t code = 0;
-        std::uint64_t value = 0;
-        if (!read_pod(payload, pos, code) || !read_pod(payload, pos, value)) {
-          return changed;
-        }
-        if (code == 0) continue;  // empty slot
-        auto [it, inserted] = runtime_warnings_.try_emplace(code, value);
-        if (!inserted) {
-          if (it->second == value) continue;
-          it->second = value;
-        }
-        changed = true;
-      }
-      return changed;
-    }
-    default:
-      return false;  // unknown chunk kind: skip (forward compatibility)
+// Decodes payload_buf_ as one chunk and applies it to the delta; false
+// only on a CRC mismatch. Sets `progress` when the chunk changed anything
+// the caller should report. Malformed chunks are ignored (the writer never
+// produces them; a fuzzer might). Meta and RuntimeWarnings carry
+// cumulative counters that the writer rewrites in place, so only their
+// growth counts.
+bool TraceTailer::consume_chunk(const ChunkHeader& header, Delta& delta,
+                                bool& progress) {
+  TraceTables decoded;
+  const DecodedChunk chunk = decode_chunk(header, payload_buf_.data(), decoded);
+  if (chunk.status == ChunkStatus::BadCrc) return false;
+  if (chunk.status == ChunkStatus::Events) {
+    const EventsChunk& e = chunk.events;
+    if (e.count == 0) return true;
+    event_buf_.resize(e.count);
+    if (!decode_events(e, event_buf_.data())) return true;
+    delta.chunk.append_thread_events(e.tid, {event_buf_.data(), e.count});
+    delta.events += e.count;
+    progress = true;
+    return true;
   }
+  if (chunk.status != ChunkStatus::Tables) return true;
+  if (decoded.dropped_events > dropped_events_) {
+    delta.dropped_delta += decoded.dropped_events - dropped_events_;
+    dropped_events_ = decoded.dropped_events;
+    progress = true;
+  }
+  if (chunk.clean_close && !clean_close_) {
+    clean_close_ = true;
+    delta.clean_close = true;
+    progress = true;
+  }
+  for (const auto& [code, value] : decoded.runtime_warnings) {
+    auto [it, inserted] = runtime_warnings_.try_emplace(code, value);
+    if (!inserted && it->second == value) continue;
+    it->second = value;
+    progress = true;
+  }
+  // The counters stay out of the fragment; names, call stacks and frame
+  // symbols go into it.
+  decoded.dropped_events = 0;
+  decoded.runtime_warnings.clear();
+  if (delta.chunk.tables().merge(decoded)) progress = true;
+  return true;
 }
 
 // Re-reads the Meta/RuntimeWarnings chunks the writer rewrites in place
 // after we first consumed them. A rewrite torn mid-read fails CRC and is
 // skipped — the previous good counters stand until the next poll.
 void TraceTailer::refresh_inplace_chunks(Delta& delta, bool& progress) {
-  unsigned char header[kChunkHeaderBytes];
+  unsigned char raw[kChunkHeaderBytes];
   for (const std::uint64_t offset : inplace_offsets_) {
     std::size_t got = 0;
-    if (robust_pread(header, sizeof header, offset, got) != ReadResult::Ok) {
+    ChunkHeader header;
+    if (robust_pread(raw, sizeof raw, offset, got) != ReadResult::Ok ||
+        !parse_chunk_header(raw, header) ||
+        !is_inplace_kind(header.kind) ||
+        header.payload_bytes > kMaxInplacePayload) {
       continue;
     }
-    if (std::memcmp(header, kChunkMagic, 4) != 0) continue;
-    std::uint32_t kind = 0;
-    std::uint32_t payload_bytes = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&kind, header + 4, 4);
-    std::memcpy(&payload_bytes, header + 8, 4);
-    std::memcpy(&crc, header + 12, 4);
-    if (kind != static_cast<std::uint32_t>(ChunkKind::Meta) &&
-        kind != static_cast<std::uint32_t>(ChunkKind::RuntimeWarnings)) {
-      continue;
-    }
-    if (payload_bytes > kMaxInplacePayload) continue;
-    payload_buf_.resize(payload_bytes);
-    if (robust_pread(payload_buf_.data(), payload_bytes,
+    payload_buf_.resize(header.payload_bytes);
+    if (robust_pread(payload_buf_.data(), header.payload_bytes,
                      offset + kChunkHeaderBytes, got) != ReadResult::Ok) {
       continue;
     }
-    if (util::crc32(payload_buf_.data(), payload_bytes) != crc) continue;
-    if (consume_chunk(kind, payload_buf_, delta)) progress = true;
+    consume_chunk(header, delta, progress);
   }
 }
 
@@ -361,45 +269,30 @@ TraceTailer::PollStatus TraceTailer::poll(Delta& delta) {
 
   // Main loop: consume complete CRC-valid chunks until the tail runs out,
   // turns out to be torn, or the poll deadline hits.
-  unsigned char header[kChunkHeaderBytes];
+  unsigned char raw[kChunkHeaderBytes];
   while (consumed_ + kChunkHeaderBytes <= size) {
     if (deadline_hit(start_ns)) break;
     std::size_t got = 0;
-    ReadResult r = robust_pread(header, sizeof header, consumed_, got);
+    ReadResult r = robust_pread(raw, sizeof raw, consumed_, got);
     if (r == ReadResult::Failed) {
       return finish(progress ? PollStatus::Progress : PollStatus::IoError);
     }
     if (r == ReadResult::Short) break;
 
-    bool resync = false;
-    std::uint32_t kind = 0;
-    std::uint32_t payload_bytes = 0;
-    std::uint32_t crc = 0;
-    if (std::memcmp(header, kChunkMagic, 4) != 0) {
-      resync = true;
-    } else {
-      std::memcpy(&kind, header + 4, 4);
-      std::memcpy(&payload_bytes, header + 8, 4);
-      std::memcpy(&crc, header + 12, 4);
-      if (payload_bytes > kMaxChunkPayload) resync = true;
-    }
-
-    if (!resync) {
+    ChunkHeader header;
+    if (parse_chunk_header(raw, header)) {
       const std::uint64_t chunk_end =
-          consumed_ + kChunkHeaderBytes + payload_bytes;
+          consumed_ + kChunkHeaderBytes + header.payload_bytes;
       if (chunk_end > size) break;  // partial tail: "not yet"
-      payload_buf_.resize(payload_bytes);
-      r = robust_pread(payload_buf_.data(), payload_bytes,
+      payload_buf_.resize(header.payload_bytes);
+      r = robust_pread(payload_buf_.data(), header.payload_bytes,
                        consumed_ + kChunkHeaderBytes, got);
       if (r == ReadResult::Failed) {
         return finish(progress ? PollStatus::Progress : PollStatus::IoError);
       }
       if (r == ReadResult::Short) break;
-      if (util::crc32(payload_buf_.data(), payload_bytes) == crc) {
-        if (consume_chunk(kind, payload_buf_, delta)) progress = true;
-        if ((kind == static_cast<std::uint32_t>(ChunkKind::Meta) ||
-             kind == static_cast<std::uint32_t>(ChunkKind::RuntimeWarnings)) &&
-            inplace_offsets_.size() < 8 &&
+      if (consume_chunk(header, delta, progress)) {
+        if (is_inplace_kind(header.kind) && inplace_offsets_.size() < 8 &&
             std::find(inplace_offsets_.begin(), inplace_offsets_.end(),
                       consumed_) == inplace_offsets_.end()) {
           inplace_offsets_.push_back(consumed_);
@@ -408,7 +301,7 @@ TraceTailer::PollStatus TraceTailer::poll(Delta& delta) {
         continue;
       }
       if (chunk_end == size) break;  // torn final chunk: wait for the writer
-      resync = true;  // CRC-bad with data behind it: genuine corruption
+      // CRC-bad with data behind it: genuine corruption, resync.
     }
 
     // Resync: scan forward for the next chunk magic, counting everything

@@ -45,6 +45,8 @@
 
 namespace cla::trace {
 
+struct ChunkHeader;  // trace_io.hpp
+
 class TraceTailer {
  public:
   struct Options {
@@ -65,11 +67,12 @@ class TraceTailer {
     IoError,   ///< preamble corrupt or a read failed past the retry budget
   };
 
-  /// What one Progress poll delivered. Event/name data arrives as a Trace
-  /// fragment; the cumulative file-level counters (dropped events,
-  /// runtime warnings) are exposed both raw and as deltas.
+  /// What one Progress poll delivered. Events, names, call stacks and
+  /// frame symbols arrive as a Trace fragment; the cumulative file-level
+  /// counters (dropped events, runtime warnings) are exposed both raw and
+  /// as deltas.
   struct Delta {
-    Trace chunk;                      ///< new per-thread event runs + names
+    Trace chunk;                      ///< new event runs + side tables
     std::uint64_t events = 0;         ///< events in `chunk`
     std::uint64_t dropped_delta = 0;  ///< growth of the Meta drop counter
     std::uint64_t skipped_bytes = 0;  ///< corrupt bytes resynced over
@@ -115,8 +118,7 @@ class TraceTailer {
   bool open_file();
   void reset_for_rotation();
   bool deadline_hit(std::uint64_t start_ns) const;
-  bool consume_chunk(std::uint32_t kind, const std::vector<unsigned char>& payload,
-                     Delta& delta);
+  bool consume_chunk(const ChunkHeader& header, Delta& delta, bool& progress);
   void refresh_inplace_chunks(Delta& delta, bool& progress);
 
   std::string path_;

@@ -84,29 +84,44 @@ std::uint64_t Trace::end_ts() const noexcept {
   return ts;
 }
 
-void Trace::set_object_name(ObjectId object, std::string name) {
-  object_names_[object] = std::move(name);
-}
-
 const std::string* Trace::object_name(ObjectId object) const {
-  auto it = object_names_.find(object);
-  return it == object_names_.end() ? nullptr : &it->second;
+  auto it = tables_.object_names.find(object);
+  return it == tables_.object_names.end() ? nullptr : &it->second;
 }
 
-std::string Trace::object_display_name(ObjectId object,
-                                       std::string_view prefix) const {
-  if (const auto* name = object_name(object)) return *name;
+std::string TraceTables::object_display_name(ObjectId object,
+                                             std::string_view prefix) const {
+  auto it = object_names.find(object);
+  if (it != object_names.end()) return it->second;
   return std::string(prefix) + "@" + std::to_string(object);
 }
 
-void Trace::set_thread_name(ThreadId tid, std::string name) {
-  thread_names_[tid] = std::move(name);
+std::string TraceTables::thread_display_name(ThreadId tid) const {
+  auto it = thread_names.find(tid);
+  if (it != thread_names.end()) return it->second;
+  return "T" + std::to_string(tid);
 }
 
-std::string Trace::thread_display_name(ThreadId tid) const {
-  auto it = thread_names_.find(tid);
-  if (it != thread_names_.end()) return it->second;
-  return "T" + std::to_string(tid);
+bool TraceTables::merge(const TraceTables& later) {
+  bool changed = later.dropped_events != 0;
+  dropped_events += later.dropped_events;
+  const auto fold = [&changed](auto& into, const auto& from) {
+    for (const auto& [key, value] : from) {
+      auto [it, inserted] = into.try_emplace(key, value);
+      if (inserted) {
+        changed = true;
+      } else if (it->second != value) {
+        it->second = value;
+        changed = true;
+      }
+    }
+  };
+  fold(object_names, later.object_names);
+  fold(thread_names, later.thread_names);
+  fold(runtime_warnings, later.runtime_warnings);
+  fold(call_stacks, later.call_stacks);
+  fold(frame_symbols, later.frame_symbols);
+  return changed;
 }
 
 void Trace::validate() const {

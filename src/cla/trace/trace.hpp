@@ -1,4 +1,4 @@
-// In-memory trace container: per-thread event streams plus name tables.
+// In-memory trace container: per-thread event streams plus side tables.
 //
 // This is the hand-off point of the paper's two-stage workflow (Fig. 3):
 // the instrumentation module (or the simulator) produces a Trace, the
@@ -8,11 +8,50 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cla/trace/event.hpp"
 
 namespace cla::trace {
+
+/// Everything a trace carries besides its per-thread event streams: the
+/// side tables of the `.clat` format (trace_io.hpp). Trace, MappedTrace
+/// and TraceStreamReader each own one; a TraceView points at one.
+struct TraceTables {
+  /// Names of synchronization objects (mutex, barrier, condvar) and of
+  /// threads. Anonymous ones render as "mutex@<id>", "T<tid>".
+  std::map<ObjectId, std::string> object_names;
+  std::map<ThreadId, std::string> thread_names;
+  /// Events the producing runtime had to drop at record time (buffer
+  /// overrun, ring retention), from the Meta chunk. The analyzer reports
+  /// them as incomplete coverage.
+  std::uint64_t dropped_events = 0;
+  /// Runtime warnings from the RuntimeWarnings chunk: stable
+  /// cla::util::DiagCode value (CLA_W_*) -> count/value.
+  std::map<std::uint32_t, std::uint64_t> runtime_warnings;
+  /// Acquisition call stacks (CallStacks chunk): stack id -> return
+  /// addresses, innermost first. Ids start at 1; 0 and kNoArg mean "no
+  /// stack". MutexAcquire events carry the id in their `arg` field when
+  /// capture was enabled.
+  std::map<std::uint64_t, std::vector<std::uint64_t>> call_stacks;
+  /// Frame symbols (FrameSymbols chunk): pc -> "symbol+0xoff (module)",
+  /// resolved by the recording process, since raw PCs mean nothing in
+  /// another address space.
+  std::map<std::uint64_t, std::string> frame_symbols;
+
+  /// Name lookups that fall back to `<prefix>@<id>` and `T<tid>`.
+  std::string object_display_name(ObjectId object,
+                                  std::string_view prefix) const;
+  std::string thread_display_name(ThreadId tid) const;
+
+  /// Folds in a later fragment of the same trace (live appends): map
+  /// entries are last-write-wins and its dropped count adds to ours.
+  /// Returns true if anything changed.
+  bool merge(const TraceTables& later);
+
+  bool operator==(const TraceTables&) const = default;
+};
 
 /// A complete execution trace of one program run.
 ///
@@ -53,66 +92,69 @@ class Trace {
   std::uint64_t start_ts() const noexcept;
   std::uint64_t end_ts() const noexcept;
 
+  /// The side tables (names, drop count, warnings, call stacks, frame
+  /// symbols); the accessors below are shorthands for its fields.
+  const TraceTables& tables() const noexcept { return tables_; }
+  TraceTables& tables() noexcept { return tables_; }
+
   /// Attaches a human-readable name to a synchronization object (mutex,
   /// barrier, condvar). Anonymous objects render as "mutex@<id>" etc.
-  void set_object_name(ObjectId object, std::string name);
+  void set_object_name(ObjectId object, std::string name) {
+    tables_.object_names[object] = std::move(name);
+  }
   const std::string* object_name(ObjectId object) const;
 
-  /// Name lookup that falls back to `<prefix>@<id>`.
-  std::string object_display_name(ObjectId object, std::string_view prefix) const;
+  std::string object_display_name(ObjectId object,
+                                  std::string_view prefix) const {
+    return tables_.object_display_name(object, prefix);
+  }
 
-  void set_thread_name(ThreadId tid, std::string name);
-  std::string thread_display_name(ThreadId tid) const;
+  void set_thread_name(ThreadId tid, std::string name) {
+    tables_.thread_names[tid] = std::move(name);
+  }
+  std::string thread_display_name(ThreadId tid) const {
+    return tables_.thread_display_name(tid);
+  }
 
-  /// Events the producing runtime had to drop at record time (buffer
-  /// overrun, recording after teardown). Carried in the `.clat` v2 meta
-  /// chunk so the analyzer can report incomplete coverage.
-  void set_dropped_events(std::uint64_t count) noexcept { dropped_events_ = count; }
-  std::uint64_t dropped_events() const noexcept { return dropped_events_; }
+  void set_dropped_events(std::uint64_t count) noexcept {
+    tables_.dropped_events = count;
+  }
+  std::uint64_t dropped_events() const noexcept {
+    return tables_.dropped_events;
+  }
 
-  /// Runtime warnings the producing process recorded in the `.clat`
-  /// RuntimeWarnings chunk: stable cla::util::DiagCode value (CLA_W_*) ->
-  /// count/value. The analyzer surfaces them in its trace-health section.
   void set_runtime_warning(std::uint32_t code, std::uint64_t value) {
-    runtime_warnings_[code] = value;
+    tables_.runtime_warnings[code] = value;
   }
   const std::map<std::uint32_t, std::uint64_t>& runtime_warnings()
       const noexcept {
-    return runtime_warnings_;
+    return tables_.runtime_warnings;
   }
 
   const std::map<ObjectId, std::string>& object_names() const noexcept {
-    return object_names_;
+    return tables_.object_names;
   }
   const std::map<ThreadId, std::string>& thread_names() const noexcept {
-    return thread_names_;
+    return tables_.thread_names;
   }
 
-  /// Acquisition call-stack table (`.clat` CallStacks chunk): stack id ->
-  /// return-address chain, outermost frame last. Ids start at 1; id 0 (and
-  /// kNoArg) mean "no stack recorded". MutexAcquire events carry the id of
-  /// the acquiring callsite in their `arg` field when capture was enabled.
   void set_call_stack(std::uint64_t id, std::vector<std::uint64_t> pcs) {
-    call_stacks_[id] = std::move(pcs);
+    tables_.call_stacks[id] = std::move(pcs);
   }
   const std::vector<std::uint64_t>* call_stack(std::uint64_t id) const {
-    auto it = call_stacks_.find(id);
-    return it == call_stacks_.end() ? nullptr : &it->second;
+    auto it = tables_.call_stacks.find(id);
+    return it == tables_.call_stacks.end() ? nullptr : &it->second;
   }
   const std::map<std::uint64_t, std::vector<std::uint64_t>>& call_stacks()
       const noexcept {
-    return call_stacks_;
+    return tables_.call_stacks;
   }
 
-  /// Frame-symbol table (`.clat` FrameSymbols chunk): program counter ->
-  /// "symbol+0xoff (module)" string resolved by the *recording* process
-  /// (dladdr at clean shutdown). Carried in the trace because raw PCs are
-  /// meaningless in any other process's address space.
   void set_frame_symbol(std::uint64_t pc, std::string name) {
-    frame_symbols_[pc] = std::move(name);
+    tables_.frame_symbols[pc] = std::move(name);
   }
   const std::map<std::uint64_t, std::string>& frame_symbols() const noexcept {
-    return frame_symbols_;
+    return tables_.frame_symbols;
   }
 
   /// Checks the structural invariants above; throws
@@ -126,12 +168,7 @@ class Trace {
 
  private:
   std::vector<std::vector<Event>> threads_;
-  std::map<ObjectId, std::string> object_names_;
-  std::map<ThreadId, std::string> thread_names_;
-  std::uint64_t dropped_events_ = 0;
-  std::map<std::uint32_t, std::uint64_t> runtime_warnings_;
-  std::map<std::uint64_t, std::vector<std::uint64_t>> call_stacks_;
-  std::map<std::uint64_t, std::string> frame_symbols_;
+  TraceTables tables_;
 };
 
 }  // namespace cla::trace

@@ -28,6 +28,10 @@ namespace {
 // readers stay bounded.
 constexpr std::size_t kEventsPerChunk = 1u << 16;
 
+// Reader limits: longer names and larger thread ids are corruption.
+constexpr std::uint32_t kMaxNameBytes = 1u << 20;
+constexpr ThreadId kMaxThreadId = 1u << 20;
+
 // ---- fault-tolerant write layer ------------------------------------------
 
 // Retry ladder for transient write errors. Normal mode: ~8 backoffs from
@@ -42,7 +46,6 @@ constexpr std::uint64_t kMaxBackoffNs = 64'000'000;
 // On-disk layout of the in-place region right after the 8-byte preamble:
 // a reserved RuntimeWarnings chunk, then a reserved Meta chunk. Appended
 // data starts at kFirstAppendOffset.
-constexpr std::size_t kChunkHeaderBytes = 16;
 constexpr std::size_t kWarnPayloadBytes = 4 + kRuntimeWarningSlots * 12;
 constexpr std::uint64_t kWarnChunkOffset = 8;
 constexpr std::uint64_t kMetaChunkOffset =
@@ -113,7 +116,7 @@ T get(std::istream& in) {
 
 std::string get_string(std::istream& in) {
   const auto len = get<std::uint32_t>(in);
-  CLA_CHECK(len <= (1u << 20), "trace name record suspiciously large");
+  CLA_CHECK(len <= kMaxNameBytes, "trace name record suspiciously large");
   std::string s(len, '\0');
   in.read(s.data(), len);
   CLA_CHECK(in.good(), "trace stream truncated in name record");
@@ -331,7 +334,7 @@ bool peek_events_v3(const void* payload, std::size_t bytes, ThreadId& tid,
   const auto* p = static_cast<const unsigned char*>(payload);
   std::memcpy(&tid, p, 4);
   std::memcpy(&count, p + 4, 4);
-  if (tid > (1u << 20)) return false;
+  if (tid > kMaxThreadId) return false;
   // Every event costs at least one varint byte per field group, so a
   // count the payload cannot physically hold is corruption, not a huge
   // allocation request.
@@ -370,6 +373,159 @@ bool decode_events_v3(const void* payload, std::size_t bytes, Event* out) {
   return true;
 }
 
+// ---- Chunk decoder --------------------------------------------------------
+
+namespace {
+
+/// Bounds-checked forward reader over one chunk payload.
+struct PayloadReader {
+  const unsigned char* p;
+  std::size_t left;
+
+  template <typename T>
+  bool get(T& out) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (left < sizeof(T)) return false;
+    std::memcpy(&out, p, sizeof(T));
+    p += sizeof(T);
+    left -= sizeof(T);
+    return true;
+  }
+
+  bool get_string(std::string& out) {
+    std::uint32_t len = 0;
+    if (!get(len) || len > kMaxNameBytes || left < len) return false;
+    out.assign(reinterpret_cast<const char*>(p), len);
+    p += len;
+    left -= len;
+    return true;
+  }
+};
+
+/// Reads `u32 count | count * { Key, T }` entries, `read_value` parsing
+/// each T, and applies them to `into` only if every entry parsed.
+template <typename Key, typename T, typename ReadValue>
+bool decode_entries(PayloadReader& in, std::map<Key, T>& into,
+                    ReadValue read_value) {
+  std::uint32_t count = 0;
+  if (!in.get(count)) return false;
+  std::vector<std::pair<Key, T>> entries;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    Key key{};
+    T value{};
+    if (!in.get(key) || !read_value(in, value)) return false;
+    entries.emplace_back(key, std::move(value));
+  }
+  for (auto& [key, value] : entries) into[key] = std::move(value);
+  return true;
+}
+
+bool read_name(PayloadReader& in, std::string& name) {
+  return in.get_string(name);
+}
+
+bool read_stack(PayloadReader& in, std::vector<std::uint64_t>& pcs) {
+  std::uint32_t depth = 0;
+  if (!in.get(depth) || depth > kMaxCallStackDepth) return false;
+  pcs.resize(depth);
+  for (std::uint64_t& pc : pcs) {
+    if (!in.get(pc)) return false;
+  }
+  return true;
+}
+
+bool decode_warnings(PayloadReader& in, TraceTables& tables) {
+  std::uint32_t count = 0;
+  if (!in.get(count) || in.left != count * 12ull) return false;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    RuntimeWarning w;
+    in.get(w.code);
+    in.get(w.value);
+    if (w.code != 0) tables.runtime_warnings[w.code] = w.value;  // 0: empty slot
+  }
+  return true;
+}
+
+}  // namespace
+
+bool parse_chunk_header(const void* bytes, ChunkHeader& header) {
+  const auto* p = static_cast<const unsigned char*>(bytes);
+  if (std::memcmp(p, kChunkMagic, 4) != 0) return false;
+  std::memcpy(&header.kind, p + 4, 4);
+  std::memcpy(&header.payload_bytes, p + 8, 4);
+  std::memcpy(&header.crc, p + 12, 4);
+  return header.payload_bytes <= kMaxChunkPayload;
+}
+
+bool decode_events(const EventsChunk& chunk, Event* out) {
+  if (chunk.v3) return decode_events_v3(chunk.payload, chunk.bytes, out);
+  if (chunk.bytes != 0) std::memcpy(out, chunk.payload, chunk.bytes);
+  return true;
+}
+
+DecodedChunk decode_chunk(const ChunkHeader& header, const void* payload,
+                          TraceTables& tables) {
+  DecodedChunk out;
+  if (util::crc32(payload, header.payload_bytes) != header.crc) {
+    out.status = ChunkStatus::BadCrc;
+    return out;
+  }
+  PayloadReader in{static_cast<const unsigned char*>(payload),
+                   header.payload_bytes};
+  bool intact = true;
+  out.status = ChunkStatus::Tables;
+  switch (static_cast<ChunkKind>(header.kind)) {
+    case ChunkKind::ObjectNames:
+      intact = decode_entries(in, tables.object_names, read_name);
+      break;
+    case ChunkKind::ThreadNames:
+      intact = decode_entries(in, tables.thread_names, read_name);
+      break;
+    case ChunkKind::CallStacks:
+      intact = decode_entries(in, tables.call_stacks, read_stack);
+      break;
+    case ChunkKind::FrameSymbols:
+      intact = decode_entries(in, tables.frame_symbols, read_name);
+      break;
+    case ChunkKind::RuntimeWarnings:
+      intact = decode_warnings(in, tables);
+      break;
+    case ChunkKind::Meta: {
+      std::uint64_t dropped = 0;
+      std::uint32_t flags = 0;
+      intact = in.get(dropped) && in.get(flags);
+      if (intact) {
+        tables.dropped_events = dropped;
+        out.clean_close = (flags & kMetaFlagCleanClose) != 0;
+      }
+      break;
+    }
+    case ChunkKind::Events: {
+      EventsChunk& e = out.events;
+      intact = in.get(e.tid) && in.get(e.count) && e.tid <= kMaxThreadId &&
+               in.left == e.count * sizeof(Event);
+      e.payload = in.p;
+      e.bytes = in.left;
+      out.status = ChunkStatus::Events;
+      break;
+    }
+    case ChunkKind::EventsV3: {
+      EventsChunk& e = out.events;
+      intact = peek_events_v3(payload, header.payload_bytes, e.tid, e.count);
+      e.payload = in.p;
+      e.bytes = in.left;
+      e.v3 = true;
+      out.status = ChunkStatus::Events;
+      break;
+    }
+    default:
+      out.status = ChunkStatus::Skipped;
+      break;
+  }
+  if (!intact) out.status = ChunkStatus::Malformed;
+  return out;
+}
+
 void write_trace(const Trace& trace, std::ostream& out, std::uint32_t version) {
   CLA_CHECK(is_supported_trace_version(version),
             "unsupported trace version " + std::to_string(version));
@@ -385,11 +541,26 @@ void write_trace(const Trace& trace, std::ostream& out, std::uint32_t version) {
 
 void write_trace_file(const Trace& trace, const std::string& path,
                       std::uint32_t version) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  CLA_CHECK(out.is_open(), "cannot open trace file for writing: " + path);
-  write_trace(trace, out, version);
-  out.flush();
-  CLA_CHECK(out.good(), "failed writing trace file: " + path);
+  // Written beside the target and renamed over it: a reader that has the
+  // old file open or mapped keeps its bytes, and a failed write leaves
+  // the old file in place.
+  const std::string tmp = path + "." + std::to_string(::getpid()) + ".tmp";
+  try {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    CLA_CHECK(out.is_open(), "cannot open trace file for writing: " + tmp);
+    write_trace(trace, out, version);
+    out.flush();
+    CLA_CHECK(out.good(), "failed writing trace file: " + tmp);
+  } catch (...) {
+    ::unlink(tmp.c_str());
+    throw;
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int err = errno;
+    ::unlink(tmp.c_str());
+    throw util::TraceIoError(
+        "cannot replace trace file: " + path + ": " + std::strerror(err), err);
+  }
 }
 
 // ---- ChunkedTraceWriter --------------------------------------------------
@@ -890,12 +1061,12 @@ TraceStreamReader::TraceStreamReader(std::istream& in) : in_(&in) {
   const auto object_names = get<std::uint32_t>(in);
   for (std::uint32_t i = 0; i < object_names; ++i) {
     const auto object = get<ObjectId>(in);
-    object_names_[object] = get_string(in);
+    tables_.object_names[object] = get_string(in);
   }
   const auto thread_names = get<std::uint32_t>(in);
   for (std::uint32_t i = 0; i < thread_names; ++i) {
     const auto tid = get<ThreadId>(in);
-    thread_names_[tid] = get_string(in);
+    tables_.thread_names[tid] = get_string(in);
   }
 }
 
@@ -913,7 +1084,7 @@ std::optional<TraceStreamReader::ThreadBlock> TraceStreamReader::next_thread_v1(
   ++threads_seen_;
   ThreadBlock block;
   block.tid = get<ThreadId>(*in_);
-  CLA_CHECK(block.tid <= (1u << 20), "implausible thread id in trace");
+  CLA_CHECK(block.tid <= kMaxThreadId, "implausible thread id in trace");
   block.event_count = get<std::uint64_t>(*in_);
   remaining_in_block_ = block.event_count;
   return block;
@@ -922,8 +1093,8 @@ std::optional<TraceStreamReader::ThreadBlock> TraceStreamReader::next_thread_v1(
 std::optional<TraceStreamReader::ThreadBlock> TraceStreamReader::next_thread_v2() {
   std::string payload;
   for (;;) {
-    char magic[4];
-    in_->read(magic, sizeof magic);
+    char raw[kChunkHeaderBytes];
+    in_->read(raw, sizeof raw);
     if (in_->eof() && in_->gcount() == 0) {
       // Every clean v2 writer ends with a clean-close Meta chunk, so a
       // stream that merely *stops* — even at a tidy chunk boundary — is a
@@ -933,153 +1104,29 @@ std::optional<TraceStreamReader::ThreadBlock> TraceStreamReader::next_thread_v2(
                 "recording; use --salvage)");
       return std::nullopt;
     }
-    CLA_CHECK(in_->good() && std::memcmp(magic, kChunkMagic, 4) == 0,
-              "corrupt trace: bad chunk magic");
-    const auto kind = get<std::uint32_t>(*in_);
-    const auto payload_bytes = get<std::uint32_t>(*in_);
-    const auto crc = get<std::uint32_t>(*in_);
-    CLA_CHECK(payload_bytes <= kMaxChunkPayload,
-              "corrupt trace: implausible chunk size");
-    payload.resize(payload_bytes);
-    in_->read(payload.data(), payload_bytes);
-    CLA_CHECK(payload_bytes == 0 || in_->good(),
+    CLA_CHECK(in_->good(), "trace stream truncated");
+    ChunkHeader header;
+    CLA_CHECK(parse_chunk_header(raw, header), "corrupt trace: bad chunk header");
+    payload.resize(header.payload_bytes);
+    in_->read(payload.data(), header.payload_bytes);
+    CLA_CHECK(header.payload_bytes == 0 || in_->good(),
               "trace stream truncated inside chunk");
-    CLA_CHECK(util::crc32(payload.data(), payload.size()) == crc,
+    const DecodedChunk chunk = decode_chunk(header, payload.data(), tables_);
+    CLA_CHECK(chunk.status != ChunkStatus::BadCrc,
               "corrupt trace: chunk CRC mismatch");
+    CLA_CHECK(chunk.status != ChunkStatus::Malformed,
+              "corrupt trace: malformed chunk of kind " +
+                  std::to_string(header.kind));
+    clean_close_ = clean_close_ || chunk.clean_close;
+    if (chunk.status != ChunkStatus::Events) continue;
 
-    const char* p = payload.data();
-    const char* end = p + payload.size();
-    auto take = [&](void* dst, std::size_t n) {
-      CLA_CHECK(static_cast<std::size_t>(end - p) >= n,
-                "corrupt trace: chunk payload too short");
-      std::memcpy(dst, p, n);
-      p += n;
-    };
-    switch (static_cast<ChunkKind>(kind)) {
-      case ChunkKind::ObjectNames: {
-        std::uint32_t count;
-        take(&count, 4);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          ObjectId object;
-          std::uint32_t len;
-          take(&object, 8);
-          take(&len, 4);
-          CLA_CHECK(len <= (1u << 20), "trace name record suspiciously large");
-          std::string name(len, '\0');
-          take(name.data(), len);
-          object_names_[object] = std::move(name);
-        }
-        break;
-      }
-      case ChunkKind::ThreadNames: {
-        std::uint32_t count;
-        take(&count, 4);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          ThreadId tid;
-          std::uint32_t len;
-          take(&tid, 4);
-          take(&len, 4);
-          CLA_CHECK(len <= (1u << 20), "trace name record suspiciously large");
-          std::string name(len, '\0');
-          take(name.data(), len);
-          thread_names_[tid] = std::move(name);
-        }
-        break;
-      }
-      case ChunkKind::Events: {
-        ThreadBlock block;
-        std::uint32_t count;
-        take(&block.tid, 4);
-        take(&count, 4);
-        CLA_CHECK(block.tid <= (1u << 20), "implausible thread id in trace");
-        CLA_CHECK(static_cast<std::size_t>(end - p) == count * sizeof(Event),
-                  "corrupt trace: events chunk size mismatch");
-        block.event_count = count;
-        v2_chunk_.resize(count);
-        std::memcpy(v2_chunk_.data(), p, count * sizeof(Event));
-        v2_chunk_offset_ = 0;
-        remaining_in_block_ = count;
-        if (!v2_tids_seen_.contains(block.tid)) {
-          v2_tids_seen_[block.tid] = true;
-          ++thread_count_;
-        }
-        return block;
-      }
-      case ChunkKind::EventsV3: {
-        ThreadBlock block;
-        std::uint32_t count;
-        CLA_CHECK(peek_events_v3(payload.data(), payload.size(), block.tid,
-                                 count),
-                  "corrupt trace: bad v3 events chunk header");
-        block.event_count = count;
-        v2_chunk_.resize(count);
-        CLA_CHECK(
-            decode_events_v3(payload.data(), payload.size(), v2_chunk_.data()),
-            "corrupt trace: bad v3 events chunk encoding");
-        v2_chunk_offset_ = 0;
-        remaining_in_block_ = count;
-        if (!v2_tids_seen_.contains(block.tid)) {
-          v2_tids_seen_[block.tid] = true;
-          ++thread_count_;
-        }
-        return block;
-      }
-      case ChunkKind::Meta: {
-        std::uint32_t flags;
-        take(&dropped_events_, 8);
-        take(&flags, 4);
-        if ((flags & kMetaFlagCleanClose) != 0) clean_close_ = true;
-        break;
-      }
-      case ChunkKind::RuntimeWarnings: {
-        std::uint32_t count;
-        take(&count, 4);
-        CLA_CHECK(static_cast<std::size_t>(end - p) == count * 12ull,
-                  "corrupt trace: runtime-warnings chunk size mismatch");
-        for (std::uint32_t i = 0; i < count; ++i) {
-          RuntimeWarning w;
-          take(&w.code, 4);
-          take(&w.value, 8);
-          if (w.code == 0) continue;  // empty slot of the reserved chunk
-          runtime_warnings_[w.code] = w.value;
-        }
-        break;
-      }
-      case ChunkKind::CallStacks: {
-        std::uint32_t count;
-        take(&count, 4);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          std::uint64_t id;
-          std::uint32_t depth;
-          take(&id, 8);
-          take(&depth, 4);
-          CLA_CHECK(depth <= kMaxCallStackDepth,
-                    "corrupt trace: implausible call-stack depth");
-          std::vector<std::uint64_t> pcs(depth);
-          for (std::uint32_t f = 0; f < depth; ++f) take(&pcs[f], 8);
-          call_stacks_[id] = std::move(pcs);
-        }
-        break;
-      }
-      case ChunkKind::FrameSymbols: {
-        std::uint32_t count;
-        take(&count, 4);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          std::uint64_t pc;
-          std::uint32_t len;
-          take(&pc, 8);
-          take(&len, 4);
-          CLA_CHECK(len <= (1u << 20), "trace name record suspiciously large");
-          std::string name(len, '\0');
-          take(name.data(), len);
-          frame_symbols_[pc] = std::move(name);
-        }
-        break;
-      }
-      default:
-        // Unknown chunk kind from a newer minor writer: skip it.
-        break;
-    }
+    v2_chunk_.resize(chunk.events.count);
+    CLA_CHECK(decode_events(chunk.events, v2_chunk_.data()),
+              "corrupt trace: bad v3 events chunk encoding");
+    v2_chunk_offset_ = 0;
+    remaining_in_block_ = chunk.events.count;
+    if (v2_tids_seen_.insert(chunk.events.tid).second) ++thread_count_;
+    return ThreadBlock{chunk.events.tid, chunk.events.count};
   }
 }
 
@@ -1115,23 +1162,9 @@ Trace read_trace(std::istream& in) {
       trace.append_thread_events(block->tid, {buffer.data(), n});
     }
   }
-  // Names apply after the drain: v2 name chunks may follow event chunks.
-  for (const auto& [object, name] : reader.object_names()) {
-    trace.set_object_name(object, name);
-  }
-  for (const auto& [tid, name] : reader.thread_names()) {
-    trace.set_thread_name(tid, name);
-  }
-  trace.set_dropped_events(reader.dropped_events());
-  for (const auto& [code, value] : reader.runtime_warnings()) {
-    trace.set_runtime_warning(code, value);
-  }
-  for (const auto& [id, pcs] : reader.call_stacks()) {
-    trace.set_call_stack(id, pcs);
-  }
-  for (const auto& [pc, name] : reader.frame_symbols()) {
-    trace.set_frame_symbol(pc, name);
-  }
+  // Tables apply after the drain: v2 side-table chunks may follow event
+  // chunks.
+  trace.tables() = reader.tables();
   return trace;
 }
 

@@ -66,15 +66,20 @@
 //
 // The format is what the instrumentation runtime flushes (incrementally
 // in v2/v3) and what `cla-analyze` consumes (paper Fig. 3's trace file).
-// `TraceStreamReader` below is the copying istream reader; the zero-copy
-// mmap path lives in trace_view.hpp and shares the chunk/varint codecs.
+// Everything besides the event runs is the trace's side tables
+// (TraceTables in trace.hpp). One chunk decoder, declared below, parses
+// the framing and every payload kind for all four readers: the copying
+// `TraceStreamReader` below, the zero-copy `MappedTrace`
+// (trace_view.hpp), `salvage_trace` (salvage.hpp) and the live
+// `TraceTailer` (tailer.hpp). Each keeps only its own I/O and its answer
+// to a bad chunk.
 #pragma once
 
 #include <atomic>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -135,10 +140,10 @@ constexpr bool is_supported_trace_version(std::uint32_t version) noexcept {
 
 // ---- EventsV3 chunk codec ------------------------------------------------
 //
-// Shared by write_trace/ChunkedTraceWriter (encode) and by the strict
-// stream reader, the mmap TraceView loader, and salvage (decode). The
-// decoder is strictly bounds-checked and reports corruption by returning
-// false, so salvage can drop a bad chunk where the strict reader throws.
+// Shared by write_trace/ChunkedTraceWriter (encode) and by the four
+// chunk readers (decode). The decoder is strictly bounds-checked and
+// reports corruption by returning false, so salvage can drop a bad chunk
+// where the strict readers throw.
 
 /// Worst-case encoded payload size for `count` events (used to size
 /// preallocated scratch so the writer never allocates on a hot path).
@@ -168,6 +173,67 @@ bool decode_events_v3(const void* payload, std::size_t bytes, std::uint64_t* ts,
 /// AoS convenience over the columnar decoder: fills `out[0..count)`
 /// complete with tid and zeroed reserved field.
 bool decode_events_v3(const void* payload, std::size_t bytes, Event* out);
+
+// ---- Chunk decoder --------------------------------------------------------
+//
+// The one parser of the chunk framing and of every payload kind. All four
+// chunk readers (TraceStreamReader, MappedTrace, salvage_trace,
+// TraceTailer) go through it and keep only their own I/O and error
+// policy: the strict readers throw on anything but an intact chunk,
+// salvage counts it as dropped, the tailer ignores it. A side-table chunk
+// is applied whole or not at all, and unknown kinds are skipped, so a new
+// kind needs no reader change.
+
+inline constexpr std::size_t kChunkHeaderBytes = 16;
+
+struct ChunkHeader {
+  std::uint32_t kind = 0;
+  std::uint32_t payload_bytes = 0;
+  std::uint32_t crc = 0;
+};
+
+/// Parses the 16-byte header at `bytes`. False when the magic is wrong or
+/// the size exceeds kMaxChunkPayload (a garbage header either way).
+bool parse_chunk_header(const void* bytes, ChunkHeader& header);
+
+/// One Events (v2) or EventsV3 chunk, undecoded: `payload` points into the
+/// caller's buffer at the `count` 32-byte records (raw) or at the whole
+/// EventsV3 payload (v3). The tid is at most 2^20; a v3 payload may still
+/// fail to decode.
+struct EventsChunk {
+  ThreadId tid = 0;
+  std::uint32_t count = 0;
+  const unsigned char* payload = nullptr;
+  std::size_t bytes = 0;
+  bool v3 = false;
+};
+
+/// Decodes an events chunk into `out[0..count)`; false on a bad v3
+/// encoding.
+bool decode_events(const EventsChunk& chunk, Event* out);
+
+enum class ChunkStatus {
+  Tables,     ///< side-table chunk (names, Meta, warnings, stacks, symbols)
+  Events,     ///< events chunk, described by DecodedChunk::events
+  Skipped,    ///< unknown kind from a newer writer
+  BadCrc,     ///< payload checksum mismatch
+  Malformed,  ///< CRC-valid payload that breaks its kind's layout or limits
+};
+
+struct DecodedChunk {
+  ChunkStatus status = ChunkStatus::Skipped;
+  EventsChunk events;        ///< status == Events
+  bool clean_close = false;  ///< a Meta chunk with the clean-close flag
+};
+
+/// Checks the payload CRC against `header` and decodes the payload. A
+/// side-table chunk is applied to `tables` (entries last-write-wins, Meta
+/// overwrites the dropped count); nothing is applied unless the status is
+/// Tables. Limits: names at most 1 MiB, tid at most 2^20, stack depth at
+/// most kMaxCallStackDepth, a RuntimeWarnings payload exactly 4 + 12 *
+/// count bytes.
+DecodedChunk decode_chunk(const ChunkHeader& header, const void* payload,
+                          TraceTables& tables);
 
 /// Writes `trace` to a stream / file. Throws cla::util::Error on IO
 /// failure. `version` selects the on-disk format (v2 chunked by default;
@@ -373,9 +439,9 @@ class ChunkedTraceWriter {
 /// bounded chunks so a consumer can ingest a large trace straight into
 /// its final storage — no full intermediate event array is ever
 /// materialised. For v2 a thread's events may arrive as several blocks
-/// (one per on-disk chunk) and name tables may grow until the stream is
-/// exhausted, so consumers should apply object_names()/thread_names()
-/// after draining all blocks. Throws cla::util::Error on malformed input
+/// (one per on-disk chunk) and the side tables may grow until the stream
+/// is exhausted, so consumers should apply tables() after draining all
+/// blocks. Throws cla::util::Error on malformed input
 /// (bad magic, unsupported version, implausible counts, truncation, CRC
 /// mismatch) exactly like read_trace; use salvage_trace() to recover
 /// what a torn file still holds.
@@ -397,33 +463,10 @@ class TraceStreamReader {
   /// v1: the header's thread count. v2: number of distinct threads seen
   /// so far (final only after the stream is drained).
   std::uint32_t thread_count() const noexcept { return thread_count_; }
-  const std::map<ObjectId, std::string>& object_names() const noexcept {
-    return object_names_;
-  }
-  const std::map<ThreadId, std::string>& thread_names() const noexcept {
-    return thread_names_;
-  }
 
-  /// Dropped-event count from the v2 Meta chunk (0 until seen).
-  std::uint64_t dropped_events() const noexcept { return dropped_events_; }
-
-  /// Runtime warnings from RuntimeWarnings chunks (CLA_W_* DiagCode value
-  /// -> count; empty slots skipped; last chunk read wins per code).
-  const std::map<std::uint32_t, std::uint64_t>& runtime_warnings()
-      const noexcept {
-    return runtime_warnings_;
-  }
-
-  /// Call-stack table from CallStacks chunks (stack id -> pc chain) and
-  /// frame symbols from FrameSymbols chunks (pc -> name). Like the name
-  /// tables, they may grow until the stream is drained.
-  const std::map<std::uint64_t, std::vector<std::uint64_t>>& call_stacks()
-      const noexcept {
-    return call_stacks_;
-  }
-  const std::map<std::uint64_t, std::string>& frame_symbols() const noexcept {
-    return frame_symbols_;
-  }
+  /// Side tables read so far. v2/v3 chunks may carry them anywhere in the
+  /// file, so they are complete only once the stream is drained.
+  const TraceTables& tables() const noexcept { return tables_; }
 
   /// True once a Meta chunk with the clean-close flag was read. The v2
   /// strict reader requires it at end-of-stream: every clean writer ends
@@ -454,14 +497,9 @@ class TraceStreamReader {
   std::uint32_t thread_count_ = 0;
   std::uint32_t threads_seen_ = 0;
   std::uint64_t remaining_in_block_ = 0;
-  std::uint64_t dropped_events_ = 0;
   bool clean_close_ = false;
-  std::map<std::uint32_t, std::uint64_t> runtime_warnings_;
-  std::map<ObjectId, std::string> object_names_;
-  std::map<ThreadId, std::string> thread_names_;
-  std::map<std::uint64_t, std::vector<std::uint64_t>> call_stacks_;
-  std::map<std::uint64_t, std::string> frame_symbols_;
-  std::map<ThreadId, bool> v2_tids_seen_;
+  TraceTables tables_;
+  std::set<ThreadId> v2_tids_seen_;
   std::vector<Event> v2_chunk_;      // current v2/v3 Events chunk, decoded
   std::size_t v2_chunk_offset_ = 0;  // events already handed out
 };

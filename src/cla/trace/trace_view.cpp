@@ -15,7 +15,6 @@
 
 #include "cla/trace/trace.hpp"
 #include "cla/trace/trace_io.hpp"
-#include "cla/util/crc32.hpp"
 #include "cla/util/error.hpp"
 
 namespace cla::trace {
@@ -24,13 +23,7 @@ bool mmap_supported() noexcept { return CLA_HAVE_MMAP != 0; }
 
 // ---- TraceView -----------------------------------------------------------
 
-TraceView::TraceView(const Trace& trace)
-    : object_names_(&trace.object_names()),
-      thread_names_(&trace.thread_names()),
-      runtime_warnings_(&trace.runtime_warnings()),
-      call_stacks_(&trace.call_stacks()),
-      frame_symbols_(&trace.frame_symbols()),
-      dropped_events_(trace.dropped_events()) {
+TraceView::TraceView(const Trace& trace) : tables_(&trace.tables()) {
   threads_.reserve(trace.thread_count());
   for (ThreadId tid = 0; tid < trace.thread_count(); ++tid) {
     const auto events = trace.thread_events(tid);
@@ -63,19 +56,6 @@ std::uint64_t TraceView::end_ts() const noexcept {
   return ts;
 }
 
-std::string TraceView::object_display_name(ObjectId object,
-                                           std::string_view prefix) const {
-  auto it = object_names_->find(object);
-  if (it != object_names_->end()) return it->second;
-  return std::string(prefix) + "@" + std::to_string(object);
-}
-
-std::string TraceView::thread_display_name(ThreadId tid) const {
-  auto it = thread_names_->find(tid);
-  if (it != thread_names_->end()) return it->second;
-  return "T" + std::to_string(tid);
-}
-
 Trace TraceView::materialize() const {
   Trace trace;
   std::vector<Event> buffer;
@@ -87,52 +67,12 @@ Trace TraceView::materialize() const {
     for (std::size_t i = 0; i < events.size(); ++i) buffer.push_back(events[i]);
     trace.append_thread_events(tid, buffer);
   }
-  for (const auto& [object, name] : *object_names_) {
-    trace.set_object_name(object, name);
-  }
-  for (const auto& [tid, name] : *thread_names_) {
-    trace.set_thread_name(tid, name);
-  }
-  trace.set_dropped_events(dropped_events_);
-  for (const auto& [code, value] : *runtime_warnings_) {
-    trace.set_runtime_warning(code, value);
-  }
-  for (const auto& [id, pcs] : *call_stacks_) {
-    trace.set_call_stack(id, pcs);
-  }
-  for (const auto& [pc, name] : *frame_symbols_) {
-    trace.set_frame_symbol(pc, name);
-  }
+  trace.tables() = *tables_;
   return trace;
 }
 
-const std::map<ObjectId, std::string>&
-TraceView::empty_object_names() noexcept {
-  static const std::map<ObjectId, std::string> empty;
-  return empty;
-}
-
-const std::map<ThreadId, std::string>&
-TraceView::empty_thread_names() noexcept {
-  static const std::map<ThreadId, std::string> empty;
-  return empty;
-}
-
-const std::map<std::uint32_t, std::uint64_t>&
-TraceView::empty_runtime_warnings() noexcept {
-  static const std::map<std::uint32_t, std::uint64_t> empty;
-  return empty;
-}
-
-const std::map<std::uint64_t, std::vector<std::uint64_t>>&
-TraceView::empty_call_stacks() noexcept {
-  static const std::map<std::uint64_t, std::vector<std::uint64_t>> empty;
-  return empty;
-}
-
-const std::map<std::uint64_t, std::string>&
-TraceView::empty_frame_symbols() noexcept {
-  static const std::map<std::uint64_t, std::string> empty;
+const TraceTables& TraceView::no_tables() noexcept {
+  static const TraceTables empty;
   return empty;
 }
 
@@ -140,7 +80,7 @@ TraceView::empty_frame_symbols() noexcept {
 
 namespace {
 
-/// Bounds-checked forward cursor over the mapping (throwing, strict —
+/// Bounds-checked forward cursor over a v1 mapping (throwing, strict —
 /// this loader matches read_trace's behavior, not salvage's).
 struct Cursor {
   const unsigned char* data;
@@ -170,16 +110,6 @@ struct Cursor {
 };
 
 }  // namespace
-
-/// One on-disk events chunk: raw AoS bytes (v2 / v1 block) or an
-/// undecoded v3 payload. Ordered per thread as the chunks appear in the
-/// file — the writer's flush order, which is the timestamp order.
-struct MappedTrace::Segment {
-  const unsigned char* payload = nullptr;  // events bytes (v2) / payload (v3)
-  std::size_t bytes = 0;
-  std::uint32_t count = 0;
-  bool v3 = false;
-};
 
 MappedTrace::MappedTrace(const std::string& path) {
 #if CLA_HAVE_MMAP
@@ -220,11 +150,7 @@ MappedTrace::MappedTrace(const std::string& path) {
     } else {
       load_chunked(map_, map_size_);
     }
-    view_.object_names_ = &object_names_;
-    view_.thread_names_ = &thread_names_;
-    view_.runtime_warnings_ = &runtime_warnings_;
-    view_.call_stacks_ = &call_stacks_;
-    view_.frame_symbols_ = &frame_symbols_;
+    view_.tables_ = &tables_;
   } catch (...) {
     if (map_ != nullptr) ::munmap(const_cast<unsigned char*>(map_), map_size_);
     throw;
@@ -250,15 +176,15 @@ void MappedTrace::load_v1(const unsigned char* p, std::size_t size) {
   const auto object_names = in.get<std::uint32_t>();
   for (std::uint32_t i = 0; i < object_names; ++i) {
     const auto object = in.get<ObjectId>();
-    object_names_[object] = in.get_string();
+    tables_.object_names[object] = in.get_string();
   }
   const auto thread_names = in.get<std::uint32_t>();
   for (std::uint32_t i = 0; i < thread_names; ++i) {
     const auto tid = in.get<ThreadId>();
-    thread_names_[tid] = in.get_string();
+    tables_.thread_names[tid] = in.get_string();
   }
 
-  std::vector<std::vector<Segment>> segments;
+  std::vector<std::vector<EventsChunk>> segments;
   for (std::uint32_t block = 0; block < thread_count; ++block) {
     const auto tid = in.get<ThreadId>();
     CLA_CHECK(tid <= (1u << 20), "implausible thread id in trace");
@@ -266,120 +192,36 @@ void MappedTrace::load_v1(const unsigned char* p, std::size_t size) {
     const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(Event);
     CLA_CHECK(in.remaining() >= bytes, "trace stream truncated in event block");
     if (tid >= segments.size()) segments.resize(tid + 1);
-    segments[tid].push_back(Segment{in.data + in.pos, bytes,
-                                    static_cast<std::uint32_t>(count), false});
+    segments[tid].push_back(EventsChunk{tid, static_cast<std::uint32_t>(count),
+                                        in.data + in.pos, bytes, false});
     in.pos += bytes;
   }
   build_views(segments);
 }
 
 void MappedTrace::load_chunked(const unsigned char* p, std::size_t size) {
-  std::vector<std::vector<Segment>> segments;
+  std::vector<std::vector<EventsChunk>> segments;
   bool clean_close = false;
   std::size_t pos = 8;
   while (pos < size) {
-    CLA_CHECK(size - pos >= 16 && std::memcmp(p + pos, kChunkMagic, 4) == 0,
-              "corrupt trace: bad chunk magic");
-    std::uint32_t kind, payload_bytes, crc;
-    std::memcpy(&kind, p + pos + 4, 4);
-    std::memcpy(&payload_bytes, p + pos + 8, 4);
-    std::memcpy(&crc, p + pos + 12, 4);
-    CLA_CHECK(payload_bytes <= kMaxChunkPayload,
-              "corrupt trace: implausible chunk size");
-    CLA_CHECK(size - pos - 16 >= payload_bytes,
+    ChunkHeader header;
+    CLA_CHECK(size - pos >= kChunkHeaderBytes && parse_chunk_header(p + pos, header),
+              "corrupt trace: bad chunk header");
+    CLA_CHECK(size - pos - kChunkHeaderBytes >= header.payload_bytes,
               "trace stream truncated inside chunk");
-    const unsigned char* payload = p + pos + 16;
-    CLA_CHECK(util::crc32(payload, payload_bytes) == crc,
+    const DecodedChunk chunk =
+        decode_chunk(header, p + pos + kChunkHeaderBytes, tables_);
+    pos += kChunkHeaderBytes + header.payload_bytes;
+    CLA_CHECK(chunk.status != ChunkStatus::BadCrc,
               "corrupt trace: chunk CRC mismatch");
-    pos += 16 + payload_bytes;
-
-    switch (static_cast<ChunkKind>(kind)) {
-      case ChunkKind::ObjectNames: {
-        Cursor body{payload, payload_bytes};
-        const auto count = body.get<std::uint32_t>();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto object = body.get<ObjectId>();
-          object_names_[object] = body.get_string();
-        }
-        break;
-      }
-      case ChunkKind::ThreadNames: {
-        Cursor body{payload, payload_bytes};
-        const auto count = body.get<std::uint32_t>();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto tid = body.get<ThreadId>();
-          thread_names_[tid] = body.get_string();
-        }
-        break;
-      }
-      case ChunkKind::Events: {
-        Cursor body{payload, payload_bytes};
-        const auto tid = body.get<ThreadId>();
-        const auto count = body.get<std::uint32_t>();
-        CLA_CHECK(tid <= (1u << 20), "implausible thread id in trace");
-        CLA_CHECK(body.remaining() == count * sizeof(Event),
-                  "corrupt trace: events chunk size mismatch");
-        if (tid >= segments.size()) segments.resize(tid + 1);
-        segments[tid].push_back(
-            Segment{payload + 8, count * sizeof(Event), count, false});
-        break;
-      }
-      case ChunkKind::EventsV3: {
-        ThreadId tid = 0;
-        std::uint32_t count = 0;
-        CLA_CHECK(peek_events_v3(payload, payload_bytes, tid, count),
-                  "corrupt trace: bad v3 events chunk header");
-        if (tid >= segments.size()) segments.resize(tid + 1);
-        segments[tid].push_back(Segment{payload, payload_bytes, count, true});
-        break;
-      }
-      case ChunkKind::Meta: {
-        Cursor body{payload, payload_bytes};
-        view_.dropped_events_ = body.get<std::uint64_t>();
-        if ((body.get<std::uint32_t>() & kMetaFlagCleanClose) != 0) {
-          clean_close = true;
-        }
-        break;
-      }
-      case ChunkKind::RuntimeWarnings: {
-        Cursor body{payload, payload_bytes};
-        const auto count = body.get<std::uint32_t>();
-        CLA_CHECK(body.remaining() == count * 12ull,
-                  "corrupt trace: runtime-warnings chunk size mismatch");
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto code = body.get<std::uint32_t>();
-          const auto value = body.get<std::uint64_t>();
-          if (code != 0) runtime_warnings_[code] = value;
-        }
-        break;
-      }
-      case ChunkKind::CallStacks: {
-        Cursor body{payload, payload_bytes};
-        const auto count = body.get<std::uint32_t>();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto id = body.get<std::uint64_t>();
-          const auto depth = body.get<std::uint32_t>();
-          CLA_CHECK(depth <= kMaxCallStackDepth,
-                    "corrupt trace: implausible call-stack depth");
-          std::vector<std::uint64_t> pcs(depth);
-          for (std::uint32_t f = 0; f < depth; ++f) {
-            pcs[f] = body.get<std::uint64_t>();
-          }
-          call_stacks_[id] = std::move(pcs);
-        }
-        break;
-      }
-      case ChunkKind::FrameSymbols: {
-        Cursor body{payload, payload_bytes};
-        const auto count = body.get<std::uint32_t>();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto pc = body.get<std::uint64_t>();
-          frame_symbols_[pc] = body.get_string();
-        }
-        break;
-      }
-      default:
-        break;  // unknown chunk kind from a newer minor writer: skip it
+    CLA_CHECK(chunk.status != ChunkStatus::Malformed,
+              "corrupt trace: malformed chunk of kind " +
+                  std::to_string(header.kind));
+    clean_close = clean_close || chunk.clean_close;
+    if (chunk.status == ChunkStatus::Events) {
+      const ThreadId tid = chunk.events.tid;
+      if (tid >= segments.size()) segments.resize(tid + 1);
+      segments[tid].push_back(chunk.events);
     }
   }
   CLA_CHECK(clean_close,
@@ -389,7 +231,7 @@ void MappedTrace::load_chunked(const unsigned char* p, std::size_t size) {
 }
 
 void MappedTrace::build_views(
-    const std::vector<std::vector<Segment>>& segments) {
+    const std::vector<std::vector<EventsChunk>>& segments) {
   const std::size_t nthreads = segments.size();
   soa_.resize(nthreads);
   compacted_.resize(nthreads);
@@ -400,7 +242,7 @@ void MappedTrace::build_views(
     std::size_t total = 0;
     bool any_v3 = false;
     bool any_raw = false;
-    for (const Segment& s : segs) {
+    for (const EventsChunk& s : segs) {
       total += s.count;
       (s.v3 ? any_v3 : any_raw) = true;
     }
@@ -420,7 +262,7 @@ void MappedTrace::build_views(
       soa.arg.resize(total);
       soa.type.resize(total);
       std::size_t off = 0;
-      for (const Segment& s : segs) {
+      for (const EventsChunk& s : segs) {
         CLA_CHECK(decode_events_v3(s.payload, s.bytes, soa.ts.data() + off,
                                    soa.object.data() + off,
                                    soa.arg.data() + off, soa.type.data() + off),
@@ -435,16 +277,9 @@ void MappedTrace::build_views(
       std::vector<Event>& events = compacted_[tid];
       events.resize(total);
       std::size_t off = 0;
-      for (const Segment& s : segs) {
-        if (s.v3) {
-          CLA_CHECK(decode_events_v3(s.payload, s.bytes, events.data() + off),
-                    "corrupt trace: bad v3 events chunk encoding");
-        } else {
-          std::memcpy(events.data() + off, s.payload, s.bytes);
-          for (std::size_t i = 0; i < s.count; ++i) {
-            events[off + i].tid = tid;
-          }
-        }
+      for (const EventsChunk& s : segs) {
+        CLA_CHECK(decode_events(s, events.data() + off),
+                  "corrupt trace: bad v3 events chunk encoding");
         off += s.count;
       }
       view_.threads_.emplace_back(events.data(), total, tid);

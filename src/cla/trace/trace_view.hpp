@@ -11,12 +11,16 @@
 //   - SoA columns decoded from compact `.clat` v3 chunks
 //     (stride = element size).
 //
+// Besides the columns, a view carries one pointer to its trace's side
+// tables (TraceTables: names, drop count, runtime warnings, call stacks,
+// frame symbols); the Trace or MappedTrace behind it owns them.
+//
 // Lifetime/ownership rules (also DESIGN.md §10): a TraceView owns
 // nothing. It stays valid while its backing store lives and is not
 // modified — the Trace it borrows, or the MappedTrace that produced it
-// (which keeps the file mapping and any decoded columns alive). Paths
-// that must mutate (repair, phase clipping) call materialize() to get a
-// private Trace copy and drop the view.
+// (which keeps the file mapping, any decoded columns and the tables
+// alive). Paths that must mutate (repair, phase clipping) call
+// materialize() to get a private Trace copy and drop the view.
 #pragma once
 
 #include <algorithm>
@@ -27,11 +31,11 @@
 #include <string_view>
 #include <vector>
 
-#include "cla/trace/event.hpp"
+#include "cla/trace/trace.hpp"
 
 namespace cla::trace {
 
-class Trace;
+struct EventsChunk;  // trace_io.hpp
 
 /// True when this platform can mmap trace files (the zero-copy load
 /// path); false means callers should use the copying stream reader.
@@ -213,7 +217,7 @@ class ChunkCursor {
 };
 
 /// Non-owning, cheaply copyable read-side handle on a whole trace:
-/// per-thread EventsViews plus the name tables and recorder metadata.
+/// per-thread EventsViews plus a pointer to the trace's TraceTables.
 /// Mirrors the read-only surface of Trace so the analysis stages can
 /// consume either storage through one type.
 class TraceView {
@@ -237,68 +241,59 @@ class TraceView {
   std::uint64_t start_ts() const noexcept;
   std::uint64_t end_ts() const noexcept;
 
+  /// The side tables of the viewed trace (names, drop count, warnings,
+  /// call stacks, frame symbols); the accessors below read its fields.
+  const TraceTables& tables() const noexcept { return *tables_; }
+
   const std::map<ObjectId, std::string>& object_names() const noexcept {
-    return *object_names_;
+    return tables_->object_names;
   }
   const std::map<ThreadId, std::string>& thread_names() const noexcept {
-    return *thread_names_;
+    return tables_->thread_names;
   }
   std::string object_display_name(ObjectId object,
-                                  std::string_view prefix) const;
-  std::string thread_display_name(ThreadId tid) const;
-
-  std::uint64_t dropped_events() const noexcept { return dropped_events_; }
-
-  /// Runtime warnings from the producing process (CLA_W_* DiagCode value
-  /// -> count), mirroring Trace::runtime_warnings().
-  const std::map<std::uint32_t, std::uint64_t>& runtime_warnings()
-      const noexcept {
-    return *runtime_warnings_;
+                                  std::string_view prefix) const {
+    return tables_->object_display_name(object, prefix);
+  }
+  std::string thread_display_name(ThreadId tid) const {
+    return tables_->thread_display_name(tid);
   }
 
-  /// Acquisition call-stack table (stack id -> pc chain) and frame-symbol
-  /// table (pc -> name), mirroring Trace::call_stacks()/frame_symbols().
+  std::uint64_t dropped_events() const noexcept {
+    return tables_->dropped_events;
+  }
+  const std::map<std::uint32_t, std::uint64_t>& runtime_warnings()
+      const noexcept {
+    return tables_->runtime_warnings;
+  }
   /// Empty for traces recorded without callsite capture.
   const std::map<std::uint64_t, std::vector<std::uint64_t>>& call_stacks()
       const noexcept {
-    return *call_stacks_;
+    return tables_->call_stacks;
   }
   const std::map<std::uint64_t, std::string>& frame_symbols() const noexcept {
-    return *frame_symbols_;
+    return tables_->frame_symbols;
   }
 
-  /// Deep-copies the viewed events and names into an owning, mutable
+  /// Deep-copies the viewed events and tables into an owning, mutable
   /// Trace (the escape hatch for repair / phase clipping).
   Trace materialize() const;
 
  private:
   friend class MappedTrace;
 
-  static const std::map<ObjectId, std::string>& empty_object_names() noexcept;
-  static const std::map<ThreadId, std::string>& empty_thread_names() noexcept;
-  static const std::map<std::uint32_t, std::uint64_t>&
-  empty_runtime_warnings() noexcept;
-  static const std::map<std::uint64_t, std::vector<std::uint64_t>>&
-  empty_call_stacks() noexcept;
-  static const std::map<std::uint64_t, std::string>&
-  empty_frame_symbols() noexcept;
+  static const TraceTables& no_tables() noexcept;
 
   std::vector<EventsView> threads_;
-  const std::map<ObjectId, std::string>* object_names_ = &empty_object_names();
-  const std::map<ThreadId, std::string>* thread_names_ = &empty_thread_names();
-  const std::map<std::uint32_t, std::uint64_t>* runtime_warnings_ =
-      &empty_runtime_warnings();
-  const std::map<std::uint64_t, std::vector<std::uint64_t>>* call_stacks_ =
-      &empty_call_stacks();
-  const std::map<std::uint64_t, std::string>* frame_symbols_ =
-      &empty_frame_symbols();
-  std::uint64_t dropped_events_ = 0;
+  const TraceTables* tables_ = &no_tables();
 };
 
 /// Owning, mmap-backed `.clat` loader — the zero-copy counterpart of
-/// read_trace_file, with identical strictness (bad magic, CRC mismatch,
-/// missing clean-close marker and truncation all throw cla::util::Error,
-/// so `--salvage` guidance stays consistent across load paths).
+/// read_trace_file, parsing chunks through the same decoder
+/// (decode_chunk in trace_io.hpp) with identical strictness (bad magic,
+/// CRC mismatch, malformed payload, missing clean-close marker and
+/// truncation all throw cla::util::Error, so `--salvage` guidance stays
+/// consistent across load paths).
 ///
 /// v1/v2 event arrays are viewed directly in the file mapping (a thread
 /// split across several v2 chunks is compacted into one owned buffer);
@@ -322,11 +317,9 @@ class MappedTrace {
   std::size_t file_bytes() const noexcept { return map_size_; }
 
  private:
-  struct Segment;  // one on-disk events chunk belonging to a thread
-
   void load_v1(const unsigned char* p, std::size_t size);
   void load_chunked(const unsigned char* p, std::size_t size);
-  void build_views(const std::vector<std::vector<Segment>>& segments);
+  void build_views(const std::vector<std::vector<EventsChunk>>& segments);
 
   struct SoaColumns {
     std::vector<std::uint64_t> ts;
@@ -340,11 +333,7 @@ class MappedTrace {
   std::uint32_t version_ = 0;
   std::vector<SoaColumns> soa_;               // v3-decoded threads
   std::vector<std::vector<Event>> compacted_;  // multi-chunk / mixed threads
-  std::map<ObjectId, std::string> object_names_;
-  std::map<ThreadId, std::string> thread_names_;
-  std::map<std::uint32_t, std::uint64_t> runtime_warnings_;
-  std::map<std::uint64_t, std::vector<std::uint64_t>> call_stacks_;
-  std::map<std::uint64_t, std::string> frame_symbols_;
+  TraceTables tables_;
   TraceView view_;
 };
 

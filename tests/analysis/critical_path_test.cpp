@@ -4,6 +4,7 @@
 
 #include "cla/analysis/segment_dag.hpp"
 #include "cla/trace/builder.hpp"
+#include "support/analyze.hpp"
 #include "support/sequential_walk.hpp"
 
 namespace cla::analysis {
@@ -157,6 +158,32 @@ TEST(CriticalPath, SumOfIntervalsDoesNotExceedLength) {
   std::uint64_t total = 0;
   for (const auto& iv : path.intervals) total += iv.length();
   EXPECT_LE(total, path.length());
+}
+
+TEST(CriticalPath, ReleaseStampedAfterWakeupIsNotCountedTwice) {
+  // The interposer records MutexReleased after the real unlock, so the
+  // waiter's MutexAcquired (6) can precede its releaser's release (10).
+  // The releaser's path interval must end at the wake-up, not re-cover
+  // [6,10] that the waiter's interval already holds.
+  TraceBuilder b;
+  b.name_object(9, "L");
+  b.thread(0).start(0).lock(9, 0, 0, 10).exit(11);
+  b.thread(1).start(0, trace::kNoThread).lock(9, 1, 6, 9).exit(12);
+  const trace::Trace t = b.finish_unchecked();
+  const CriticalPath path = walk(t);
+  ASSERT_EQ(path.jumps.size(), 1u);
+  std::uint64_t total = 0;
+  for (const auto& iv : path.intervals) total += iv.length();
+  EXPECT_LE(total, path.length());
+  EXPECT_EQ(path.thread_time(0), 6u);
+
+  analysis::Options options;
+  options.validate = false;
+  const AnalysisResult result = test_support::analyze(t, options);
+  EXPECT_LE(total, result.completion_time);
+  const LockStats* lock = result.find_lock("L");
+  ASSERT_NE(lock, nullptr);
+  EXPECT_LE(lock->cp_time_fraction, 1.0);
 }
 
 }  // namespace

@@ -175,6 +175,46 @@ TEST(Incremental, SingleRoundMatchesPipeline) {
   EXPECT_EQ(analyzer.report_json(), pipeline_report(full));
 }
 
+TEST(Incremental, CallsiteTablesReachTheReport) {
+  // Call stacks and frame symbols are side tables like the names. The
+  // recorder writes the symbols at clean close, after the last events,
+  // so they arrive in an append of their own.
+  trace::TraceBuilder b;
+  b.name_object(1, "queue");
+  b.thread(0)
+      .start(0)
+      .create(5, 1)
+      .lock_at(1, 1, 10, 10, 400)
+      .join(1, 450, 900)
+      .exit(1000);
+  b.thread(1).start(5, 0).lock_at(1, 2, 20, 400, 600).exit(900);
+  trace::Trace full = b.finish();
+  full.set_call_stack(1, {0x1010});
+  full.set_call_stack(2, {0x2020, 0x3030});
+  full.set_frame_symbol(0x1010, "push+0x24 (demo)");
+  full.set_frame_symbol(0x2020, "pop+0x10 (demo)");
+
+  const auto chunks = split_trace(full, 2);
+  trace::Trace symbols;
+  for (const auto& [id, pcs] : full.call_stacks()) {
+    symbols.set_call_stack(id, pcs);
+  }
+  for (const auto& [pc, name] : full.frame_symbols()) {
+    symbols.set_frame_symbol(pc, name);
+  }
+  Options options;
+  options.validate = false;
+  IncrementalAnalyzer analyzer(options);
+  analyzer.append(chunks[0]);
+  analyzer.append(chunks[1]);
+  (void)analyzer.result();  // analyzed before the tables land
+  analyzer.append(symbols);
+
+  const std::string json = analyzer.report_json();
+  EXPECT_NE(json.find("push+0x24 (demo)"), std::string::npos);
+  EXPECT_EQ(json, pipeline_report(full));
+}
+
 TEST(Incremental, EmptyAnalyzerIsACleanError) {
   IncrementalAnalyzer analyzer;
   EXPECT_THROW(analyzer.result(), util::Error);

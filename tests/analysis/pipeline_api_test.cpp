@@ -5,8 +5,10 @@
 #include <sstream>
 
 #include "support/analyze.hpp"
+#include "support/temp_dir.hpp"
 #include "cla/analysis/pipeline.hpp"
 #include "cla/trace/trace_io.hpp"
+#include "cla/trace/trace_view.hpp"
 #include "cla/util/error.hpp"
 #include "cla/workloads/workload.hpp"
 
@@ -89,6 +91,34 @@ TEST(PipelineApi, LoadStreamFeedsTheFullPipeline) {
   pipeline.load_stream(buffer);
   EXPECT_EQ(render_json(pipeline.result()), render_json(test_support::analyze(trace)));
   EXPECT_EQ(pipeline.profile().stages.front().stage, Stage::Load);
+}
+
+TEST(PipelineApi, CopyAndMmapLoadsKeepEqualTables) {
+  if (!trace::mmap_supported()) GTEST_SKIP() << "no mmap on this platform";
+  trace::Trace trace = micro_trace();
+  trace.set_call_stack(1, {0x1010, 0x2020});
+  trace.set_frame_symbol(0x1010, "push+0x24 (demo)");
+  trace.set_runtime_warning(7, 3);
+  trace.set_dropped_events(4);
+  const test_support::TempDir dir;
+  const std::string path = dir.file("tables.clat");
+  trace::write_trace_file(trace, path, trace::kTraceVersionV3);
+
+  Options copy_options;
+  copy_options.load.use_mmap = false;
+  Pipeline copy(copy_options);
+  copy.load_file(path);
+  Pipeline mapped;
+  mapped.load_file(path);
+  for (const Pipeline* p : {&copy, &mapped}) {
+    const trace::TraceView& view = p->view();
+    EXPECT_EQ(view.object_names(), trace.object_names());
+    EXPECT_EQ(view.thread_names(), trace.thread_names());
+    EXPECT_EQ(view.call_stacks(), trace.call_stacks());
+    EXPECT_EQ(view.frame_symbols(), trace.frame_symbols());
+    EXPECT_EQ(view.runtime_warnings(), trace.runtime_warnings());
+    EXPECT_EQ(view.dropped_events(), 4u);
+  }
 }
 
 TEST(PipelineApi, MissingTraceIsACleanError) {

@@ -63,7 +63,7 @@ inline analysis::CriticalPath sequential_walk(
         tid = r.releaser.tid;
         events = t.thread_events(tid);
         idx = r.releaser.index;
-        cur_time = std::min(cur_time, events.ts_at(idx));
+        cur_time = std::min({cur_time, ts, events.ts_at(idx)});
         // A releasing event is never a wake-up, so scanning resumes below
         // it — unless it is the thread's first event (the walk then
         // processes that ThreadStart).

@@ -143,11 +143,11 @@ TEST(CallStackStreaming, ChunkedWriterStreamsStackAndSymbolChunks) {
   TraceStreamReader reader(in);
   while (reader.next_thread()) {
   }
-  ASSERT_EQ(reader.call_stacks().size(), 1u);
-  EXPECT_EQ(reader.call_stacks().at(1),
+  ASSERT_EQ(reader.tables().call_stacks.size(), 1u);
+  EXPECT_EQ(reader.tables().call_stacks.at(1),
             (std::vector<std::uint64_t>{0xabc, 0xdef}));
-  ASSERT_EQ(reader.frame_symbols().size(), 1u);
-  EXPECT_EQ(reader.frame_symbols().at(0xabc), "f (m)");
+  ASSERT_EQ(reader.tables().frame_symbols.size(), 1u);
+  EXPECT_EQ(reader.tables().frame_symbols.at(0xabc), "f (m)");
 }
 
 TEST(CallStackStreaming, WriterClampsDepthToFormatMaximum) {

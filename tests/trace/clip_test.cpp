@@ -22,6 +22,27 @@ TEST(Clip, IdentityWindowKeepsEverything) {
   EXPECT_EQ(clipped.end_ts(), 10u);
 }
 
+TEST(Clip, KeepsSideTables) {
+  // `cla-analyze --phase` reports on the clip, so its callsite frames,
+  // runtime warnings and drop count must survive clipping.
+  TraceBuilder b;
+  b.name_object(9, "L");
+  b.name_thread(0, "main");
+  b.thread(0).start(0).lock_at(9, 1, 2, 2, 5).lock_at(9, 1, 20, 20, 25).exit(30);
+  Trace t = b.finish();
+  t.set_call_stack(1, {0x1010, 0x2020});
+  t.set_frame_symbol(0x1010, "push+0x24 (demo)");
+  t.set_runtime_warning(7, 3);
+  t.set_dropped_events(4);
+  const Trace clipped = clip_trace(t, Window{10, 30});
+  EXPECT_EQ(clipped.object_names(), t.object_names());
+  EXPECT_EQ(clipped.thread_names(), t.thread_names());
+  EXPECT_EQ(clipped.call_stacks(), t.call_stacks());
+  EXPECT_EQ(clipped.frame_symbols(), t.frame_symbols());
+  EXPECT_EQ(clipped.runtime_warnings(), t.runtime_warnings());
+  EXPECT_EQ(clipped.dropped_events(), 4u);
+}
+
 TEST(Clip, WindowTrimsThreadLifetimes) {
   TraceBuilder b;
   b.thread(0).start(0).lock(9, 20, 20, 30).exit(100);

@@ -51,9 +51,9 @@ TEST(TraceStreamReader, V1HeaderExposesNamesAndThreadCount) {
   TraceStreamReader reader(in);
   EXPECT_EQ(reader.version(), kTraceVersionLegacy);
   EXPECT_EQ(reader.thread_count(), 2u);
-  ASSERT_EQ(reader.object_names().count(42), 1u);
-  EXPECT_EQ(reader.object_names().at(42), "L1");
-  EXPECT_EQ(reader.thread_names().at(0), "main");
+  ASSERT_EQ(reader.tables().object_names.count(42), 1u);
+  EXPECT_EQ(reader.tables().object_names.at(42), "L1");
+  EXPECT_EQ(reader.tables().thread_names.at(0), "main");
 }
 
 TEST(TraceStreamReader, V2NamesAvailableAfterDrain) {
@@ -65,9 +65,9 @@ TEST(TraceStreamReader, V2NamesAvailableAfterDrain) {
   EXPECT_EQ(reader.version(), kTraceVersion);
   drain(reader);
   EXPECT_EQ(reader.thread_count(), 2u);
-  ASSERT_EQ(reader.object_names().count(42), 1u);
-  EXPECT_EQ(reader.object_names().at(42), "L1");
-  EXPECT_EQ(reader.thread_names().at(0), "main");
+  ASSERT_EQ(reader.tables().object_names.count(42), 1u);
+  EXPECT_EQ(reader.tables().object_names.at(42), "L1");
+  EXPECT_EQ(reader.tables().thread_names.at(0), "main");
 }
 
 TEST(TraceStreamReader, TinyChunksReproduceTheWholeTrace) {

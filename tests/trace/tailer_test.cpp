@@ -227,6 +227,34 @@ TEST_P(TraceTailerFormatTest, CorruptionWithDataBehindItResyncs) {
   EXPECT_EQ(tailer.consumed_bytes(), file_size(path_));
 }
 
+TEST_P(TraceTailerFormatTest, DeltaCarriesCallStacksAndFrameSymbols) {
+  ChunkedTraceWriter writer(path_, GetParam());
+  ASSERT_TRUE(writer.ok());
+  const std::uint64_t pcs[2] = {0xabc, 0xdef};
+  writer.write_call_stack(1, pcs, 2);
+  const std::vector<Event> batch = worker_stream(0, 4);
+  ASSERT_EQ(writer.write_events(0, batch.data(), batch.size()), batch.size());
+
+  TraceTailer tailer(path_);
+  TraceTailer::Delta delta;
+  ASSERT_EQ(tailer.poll(delta), TraceTailer::PollStatus::Progress);
+  EXPECT_EQ(delta.events, batch.size());
+  ASSERT_EQ(delta.chunk.call_stacks().size(), 1u);
+  EXPECT_EQ(delta.chunk.call_stacks().at(1),
+            (std::vector<std::uint64_t>{0xabc, 0xdef}));
+
+  // Frame symbols land at clean close, after the last events, so they
+  // make a delta of their own.
+  writer.write_frame_symbol(0xabc, "worker+0x10 (app)");
+  writer.write_meta(0, /*clean_close=*/true);
+  writer.close();
+  ASSERT_EQ(tailer.poll(delta), TraceTailer::PollStatus::Progress);
+  EXPECT_EQ(delta.events, 0u);
+  EXPECT_TRUE(delta.chunk.call_stacks().empty());
+  ASSERT_EQ(delta.chunk.frame_symbols().size(), 1u);
+  EXPECT_EQ(delta.chunk.frame_symbols().at(0xabc), "worker+0x10 (app)");
+}
+
 INSTANTIATE_TEST_SUITE_P(Formats, TraceTailerFormatTest,
                          ::testing::Values(cla::trace::kTraceVersion,
                                            cla::trace::kTraceVersionV3));

@@ -235,6 +235,31 @@ TEST(TraceView, MappedLoadIsStrict) {
   EXPECT_THROW(MappedTrace{"/nonexistent/dir/trace.clat"}, util::Error);
 }
 
+TEST(TraceView, MappingSurvivesConvertOverwritingItsPath) {
+  // `cla-analyze --convert` onto a path another process has mapped: the
+  // writer renames a new file into place instead of truncating the
+  // mapped one, so the mapping keeps the old bytes.
+  const test_support::TempDir dir;
+  if (!mmap_supported()) GTEST_SKIP() << "no mmap on this platform";
+  TraceBuilder b;
+  b.name_object(42, "L1");
+  auto t0 = b.thread(0).start(0);
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    t0.lock_uncontended(42, 10 + 10 * i, 15 + 10 * i);
+  }
+  t0.exit(100'000);
+  const Trace trace = b.finish();
+  const std::string path = dir.file("mapped.clat");
+  const std::string src = dir.file("src.clat");
+  write_trace_file(trace, path, kTraceVersion);
+  write_trace_file(trace, src, kTraceVersion);
+
+  MappedTrace mapped(path);
+  convert_trace_file(src, path, kTraceVersionV3);  // a much smaller file
+  EXPECT_EQ(read_trace_file(path).event_count(), trace.event_count());
+  expect_view_equals_trace(mapped.view(), trace);
+}
+
 TEST(TraceView, MappedTruncationFuzzNeverCrashes) {
   const test_support::TempDir dir;
   // Every prefix of a valid v3 file must either load (only if it happens
